@@ -15,16 +15,14 @@ from .errors import (
     GenerationError,
     OversizeError,
     PointCollisionError,
-    SpanError,
     TrivialRingError,
     UnsupportedDivisorError,
 )
-from .exactla import ExactMatrix, FieldSpec, kernel_basis, quotient_complement, row_reduce
+from .exactla import ExactMatrix, FieldSpec, kernel_basis, row_reduce
 from .conelattice import (
     ConeModel,
     GradedMonomial,
     build_cone_model,
-    epsilon_vector,
     monomial_basis,
     monomial_spanning_set,
     semigroup_generators,
@@ -33,14 +31,12 @@ from .presentation import (
     GeneratorRecord,
     GroebnerReport,
     RelationPoly,
-    SectionSpace,
     brute_force_oracle,
     generic_configs,
     groebner_leading_terms,
     minimal_generators,
     minimal_relation_degrees,
     relation_ideal,
-    section_space,
     stability_scan,
     xgen_threshold,
 )

@@ -81,10 +81,6 @@ def _emit(args, text: str) -> None:
         print(text)
 
 
-def _monomial_json(mono) -> dict:
-    return mono.to_json()
-
-
 def cmd_dims(args) -> int:
     D, field = _load_divisor(args)
     top = args.max_degree if args.max_degree is not None else 30
@@ -152,7 +148,7 @@ def cmd_gens(args) -> int:
             "command": "gens",
             "config": divisor_to_json(D, field.characteristic),
             "generators": [
-                {"degree": g.degree, "monomial": _monomial_json(g.monomial)}
+                {"degree": g.degree, "monomial": g.monomial.to_json()}
                 for g in gens
             ],
         }
@@ -176,7 +172,7 @@ def cmd_rels(args) -> int:
             "command": "rels",
             "config": divisor_to_json(D, field.characteristic),
             "generators": [
-                {"degree": g.degree, "monomial": _monomial_json(g.monomial)}
+                {"degree": g.degree, "monomial": g.monomial.to_json()}
                 for g in gens
             ],
             "relations": [
@@ -232,7 +228,7 @@ def cmd_groebner(args) -> int:
 
 def cmd_scan(args) -> int:
     D, field = _load_divisor(args)
-    chars = [int(c) for c in _split_csv(args.chars)] if args.chars else [0, 2, 3, 5, 7]
+    chars = args.chars or [0, 2, 3, 5, 7]
     configs = []
     if args.points or args.divisor:
         configs.append((D.points, field.characteristic))
@@ -242,9 +238,8 @@ def cmd_scan(args) -> int:
         configs,
         up_to=args.max_degree,
         with_groebner=args.groebner,
-        groebner_up_to=args.truncation,
         with_relations=args.relations,
-        relations_up_to=args.truncation,
+        truncation=args.truncation,
     )
     report["command"] = "scan"
     report["seed"] = args.seed
@@ -294,17 +289,31 @@ def cmd_oracle(args) -> int:
     return 0 if match else 3
 
 
+def _nonnegative(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def _int_csv(text: str) -> list[int]:
+    try:
+        return [int(part) for part in _split_csv(text)]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--divisor", metavar="FILE", help="divisor JSON file")
     common.add_argument("--alphas", metavar="CSV", help="coefficients, e.g. -1/2,1/3,1/5")
     common.add_argument("--points", metavar="CSV", help="points, e.g. inf,0,1")
     common.add_argument("--char", type=int, default=None, help="field characteristic (0 or prime)")
-    common.add_argument("--max-degree", type=int, default=None, help="degree window for dims/gens")
-    common.add_argument("--truncation", type=int, default=None, help="degree window for rels/groebner")
+    common.add_argument("--max-degree", type=_nonnegative, default=None, help="degree window for dims/gens")
+    common.add_argument("--truncation", type=_nonnegative, default=None, help="degree window for rels/groebner")
     common.add_argument("--seed", type=int, default=0, help="seed for generic configurations")
-    common.add_argument("--configs", type=int, default=6, help="number of generic configurations")
-    common.add_argument("--chars", metavar="CSV", default=None, help="characteristics for scan")
+    common.add_argument("--configs", type=_nonnegative, default=6, help="number of generic configurations")
+    common.add_argument("--chars", metavar="CSV", type=_int_csv, default=None, help="characteristics for scan")
     common.add_argument("--output", metavar="FILE", help="write the report to a file")
     fmt = common.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true", help="machine-readable report")

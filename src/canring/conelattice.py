@@ -52,9 +52,6 @@ class GradedMonomial:
     def from_json(obj: dict) -> "GradedMonomial":
         return GradedMonomial(int(obj["d"]), tuple(int(x) for x in obj["c"]))
 
-    def __add__(self, other: "GradedMonomial") -> "GradedMonomial":
-        return GradedMonomial(self.d + other.d, tuple(a + b for a, b in zip(self.c, other.c)))
-
 
 @dataclass(frozen=True)
 class ConeModel:
@@ -177,10 +174,6 @@ def semigroup_generators(model: ConeModel) -> list[GradedMonomial]:
     gens = list(model.rays) + list(model.cube_points)
     gens.sort(key=lambda m: (m.d, m.c))
     return gens
-
-
-def epsilon_vector(model: ConeModel) -> tuple[Fraction, ...]:
-    return model.epsilon
 
 
 def barycentric_coordinates(model: ConeModel, mono: GradedMonomial) -> tuple[Fraction, ...]:

@@ -17,10 +17,6 @@ class PointCollisionError(CanringError):
     """Two support points coincide in the chosen ground field."""
 
 
-class SpanError(CanringError):
-    """A candidate family failed to span the required space."""
-
-
 class GenerationError(CanringError):
     """A generator list does not generate the ring through the requested degree."""
 

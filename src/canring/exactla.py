@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import CanringError, SpanError
+from .errors import CanringError
 
 _MAX_PRIME = 1 << 61
 
@@ -127,17 +127,6 @@ class ExactMatrix:
         return ExactMatrix(field, [[field.of(x) for x in r] for r in rows],
                            ncols=len(rows[0]) if rows else 0)
 
-    def copy(self) -> "ExactMatrix":
-        return ExactMatrix(self.field, [list(r) for r in self.rows], self.ncols)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ExactMatrix)
-            and self.field == other.field
-            and self.rows == other.rows
-            and self.ncols == other.ncols
-        )
-
     def __repr__(self) -> str:
         return f"ExactMatrix({self.field}, {self.nrows}x{self.ncols})"
 
@@ -226,7 +215,7 @@ class RowBasis:
     def rank(self) -> int:
         return len(self._rows)
 
-    def residual(self, vec: Sequence) -> list:
+    def add(self, vec: Sequence) -> bool:
         p = self.field.characteristic
         if p:
             row = [int(x) % p for x in vec]
@@ -241,22 +230,14 @@ class RowBasis:
                 if f:
                     piv = stored[col]
                     row = _strip_content([piv * a - f * b for a, b in zip(row, stored)])
-        return row
-
-    def add(self, vec: Sequence) -> bool:
-        row = self.residual(vec)
         lead = next((i for i, x in enumerate(row) if x), None)
         if lead is None:
             return False
-        p = self.field.characteristic
         if p:
             inv = pow(row[lead], -1, p)
             row = [inv * x % p for x in row]
         self._insert(lead, row)
         return True
-
-    def contains(self, vec: Sequence) -> bool:
-        return not any(self.residual(vec))
 
     def _insert(self, lead: int, row: list) -> None:
         pos = 0
@@ -370,22 +351,3 @@ class SparseRowBasis:
                     row.pop(i, None)
         return False
 
-
-def quotient_complement(subspace_rows: ExactMatrix, ambient_candidates: Sequence[Sequence]) -> list[int]:
-    """Greedily pick candidate indices extending the subspace to the full
-    ambient space, in the order given.
-
-    Raises SpanError when the candidates cannot complete the span.
-    """
-    basis = RowBasis(subspace_rows.field, subspace_rows.ncols)
-    for row in subspace_rows.rows:
-        basis.add(row)
-    selected = []
-    for idx, cand in enumerate(ambient_candidates):
-        if basis.add(cand):
-            selected.append(idx)
-    if basis.rank != subspace_rows.ncols:
-        raise SpanError(
-            f"candidates span only {basis.rank} of {subspace_rows.ncols} dimensions"
-        )
-    return selected

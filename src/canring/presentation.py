@@ -16,7 +16,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .conelattice import GradedMonomial, monomial_basis
 from .divisor import (
@@ -28,6 +28,7 @@ from .divisor import (
     padded,
 )
 from .errors import (
+    CanringError,
     GenerationError,
     OversizeError,
     PointCollisionError,
@@ -45,17 +46,6 @@ from .exactla import (
 from .ratapprox import format_fraction
 
 INFINITE = object()  # marker for a point at infinity inside a field realization
-
-
-@dataclass
-class SectionSpace:
-    """A graded piece realized as a coefficient matrix over the field."""
-
-    divisor: QDivisor
-    field: FieldSpec
-    degree: int
-    basis_monomials: list[GradedMonomial]
-    coeff_matrix: ExactMatrix
 
 
 @dataclass(frozen=True)
@@ -223,21 +213,6 @@ class _Realization:
     def marked_order(self, mono: GradedMonomial) -> int:
         """Vanishing order at the first point, as a section of floor(dD)."""
         return mono.c[0] + self.floors(mono.d)[0]
-
-
-def section_space(D: QDivisor, field: FieldSpec, d: int) -> SectionSpace:
-    """The degree-d graded piece: basis monomials rendered as rows of an
-    exact coefficient matrix of width deg floor(dD) + 1."""
-    real = _Realization(D, field)
-    mons = real.basis(d)
-    width = max(real.r(d) + 1, 0)
-    return SectionSpace(
-        real.divisor,
-        field,
-        d,
-        mons,
-        ExactMatrix(field, real.basis_sections(d), ncols=width),
-    )
 
 
 def _pregen_subsets(real: _Realization, d: int) -> Optional[set[frozenset[int]]]:
@@ -411,6 +386,40 @@ def _default_rel_bound(D: QDivisor) -> int:
     return 1
 
 
+def _graded_pieces(
+    D: QDivisor,
+    field: FieldSpec,
+    gens: Sequence[GeneratorRecord],
+    up_to: int,
+    basis_type: type,
+) -> Iterator[tuple]:
+    """The degreewise pass behind relation_ideal and groebner_leading_terms.
+
+    For d = 2..up_to yields d, the (monomial, section) pairs of degree d in
+    ascending word order, and an empty basis_type(field, width) that the
+    caller adds every section to; then checks that the basis spans S_d.
+    """
+    real = _Realization(D, field)
+    ev = _MonomialEvaluator(real, gens)
+    for d in range(2, up_to + 1):
+        exps = ev.exponents_of_degree(d)
+        dim = real.dim(d)
+        if not exps:
+            if dim > 0:
+                raise GenerationError(
+                    f"no generator monomials reach degree {d} but dim S_{d} = {dim}"
+                )
+            continue
+        if dim <= 0:
+            raise AssertionError("monomials exist in a zero graded piece")
+        basis = basis_type(field, real.r(d) + 1)
+        yield d, ((e, ev.section(e)) for e in exps), basis
+        if basis.rank != dim:
+            raise GenerationError(
+                f"generators span only {basis.rank} of {dim} dimensions in degree {d}"
+            )
+
+
 def relation_ideal(
     D: QDivisor,
     field: FieldSpec,
@@ -429,31 +438,14 @@ def relation_ideal(
     """
     if up_to is None:
         up_to = _default_rel_bound(D)
-    real = _Realization(D, field)
-    ev = _MonomialEvaluator(real, gens)
     kernels: dict[int, list[dict]] = {}
     minimal: list[RelationPoly] = []
-    for d in range(2, up_to + 1):
-        exps = ev.exponents_of_degree(d)
-        dim = real.dim(d)
-        if not exps:
-            if dim > 0:
-                raise GenerationError(
-                    f"no generator monomials reach degree {d} but dim S_{d} = {dim}"
-                )
-            continue
-        if dim <= 0:
-            raise AssertionError("monomials exist in a zero graded piece")
-        tracker = TrackingRowBasis(field, real.r(d) + 1)
+    for d, pieces, tracker in _graded_pieces(D, field, gens, up_to, TrackingRowBasis):
         found: list[dict] = []
-        for e in exps:
-            combo = tracker.add(ev.section(e), e)
+        for e, vec in pieces:
+            combo = tracker.add(vec, e)
             if combo is not None:
                 found.append(combo)
-        if tracker.rank != dim:
-            raise GenerationError(
-                f"generators span only {tracker.rank} of {dim} dimensions in degree {d}"
-            )
         if not found:
             continue
         # graded Nakayama: quotient the degree-d kernel by the shifts of
@@ -510,26 +502,11 @@ def groebner_leading_terms(
     """
     if up_to is None:
         up_to = _default_rel_bound(D)
-    real = _Realization(D, field)
-    ev = _MonomialEvaluator(real, gens)
     hits: list[tuple[int, ...]] = []
-    for d in range(2, up_to + 1):
-        exps = ev.exponents_of_degree(d)
-        if not exps:
-            if real.dim(d) > 0:
-                raise GenerationError(
-                    f"no generator monomials reach degree {d} but dim S_{d} > 0"
-                )
-            continue
-        span = RowBasis(field, real.r(d) + 1)
-        for e in exps:
-            if not span.add(ev.section(e)):
+    for _, pieces, span in _graded_pieces(D, field, gens, up_to, RowBasis):
+        for e, vec in pieces:
+            if not span.add(vec):
                 hits.append(e)
-        if span.rank != real.dim(d):
-            raise GenerationError(
-                f"generators span only {span.rank} of {real.dim(d)} dimensions "
-                f"in degree {d}"
-            )
     minimal = [
         e
         for e in hits
@@ -597,18 +574,13 @@ def generic_configs(
     return configs
 
 
-def _gen_degree_multiset(gens: Sequence[GeneratorRecord]) -> tuple[int, ...]:
-    return tuple(sorted(g.degree for g in gens))
-
-
 def stability_scan(
     alphas: Sequence,
     configs: Sequence[tuple[Sequence, int]],
     up_to: Optional[int] = None,
     with_groebner: bool = False,
-    groebner_up_to: Optional[int] = None,
     with_relations: bool = False,
-    relations_up_to: Optional[int] = None,
+    truncation: Optional[int] = None,
 ) -> dict:
     """Run the engine over many point configurations and report agreement.
 
@@ -617,7 +589,7 @@ def stability_scan(
     multisets can be reported as well but never affect the verdict: their
     stability is an experimental observation, not an asserted property.
     Configurations whose points collide after reduction are skipped and
-    recorded.
+    recorded; raises CanringError when no configuration is left to judge.
     """
     alphas = tuple(Fraction(a) for a in alphas)
     runs = []
@@ -638,16 +610,16 @@ def stability_scan(
             entry["generators"] = [
                 {"degree": g.degree, "monomial": g.monomial.to_json()} for g in gens
             ]
-            gen_multisets.append(_gen_degree_multiset(gens))
+            gen_multisets.append(tuple(sorted(g.degree for g in gens)))
             if with_groebner:
-                report = groebner_leading_terms(D, field, gens, groebner_up_to)
+                report = groebner_leading_terms(D, field, gens, truncation)
                 entry["groebner"] = {
                     "truncation": report.truncation_degree,
                     "leading_terms": [list(e) for e in report.leading_terms],
                 }
                 groebner_sets.append(report.leading_terms)
             if with_relations:
-                rels = relation_ideal(D, field, gens, relations_up_to)
+                rels = relation_ideal(D, field, gens, truncation)
                 entry["relations"] = [
                     {"degree": r.degree, "support_size": r.support_size} for r in rels
                 ]
@@ -657,26 +629,24 @@ def stability_scan(
             entry["skipped"] = True
             entry["reason"] = str(exc)
         runs.append(entry)
+    if not gen_multisets:
+        raise CanringError(f"scan evaluated none of its {len(runs)} configurations")
 
     stable = len(set(gen_multisets)) <= 1 and len(set(groebner_sets)) <= 1
-    if gen_multisets:
-        # flag outliers against the most common multiset, not the first run
-        modal = max(set(gen_multisets), key=gen_multisets.count)
-        for entry, multiset in zip(
-            (e for e in runs if not e["skipped"]), gen_multisets
-        ):
-            entry["agrees"] = multiset == modal
+    # flag outliers against the most common multiset, not the first run
+    modal = max(set(gen_multisets), key=gen_multisets.count)
+    for entry, multiset in zip((e for e in runs if not e["skipped"]), gen_multisets):
+        entry["agrees"] = multiset == modal
     report = {
         "alphas": [format_fraction(a) for a in alphas],
         "runs": runs,
         "stable": stable,
     }
-    total = sum(alphas, Fraction(0))
-    if total > 0:
+    if sum(alphas) > 0:
         # generators at or above this degree are stably selectable by the
         # general theory; disagreements can only involve lower degrees
-        report["xgen_threshold"] = math.ceil(
-            Fraction(2 * len(alphas) - 2) / total
+        report["xgen_threshold"] = xgen_threshold(
+            QDivisor.of(range(len(alphas)), alphas)
         )
     if with_relations:
         report["relation_degrees_agree"] = len(set(relation_multisets)) <= 1

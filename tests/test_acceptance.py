@@ -379,7 +379,7 @@ def test_criterion_08_stability_sweeps():
         trunc = 2 * max(g.degree for g in ref_gens)
         configs = generic_configs(4, 20, [0, 2, 3, 5, 7], seed=2000 + trial)
         report = stability_scan(
-            alphas, configs, with_groebner=True, groebner_up_to=trunc
+            alphas, configs, with_groebner=True, truncation=trunc
         )
         if not report["stable"]:
             gro_failures.append([str(a) for a in alphas])

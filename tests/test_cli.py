@@ -131,6 +131,16 @@ class TestScan:
             if not run_entry["skipped"]:
                 assert run_entry["relations"] == [{"degree": 30, "support_size": 3}]
 
+    def test_no_evaluated_configuration_is_an_error(self, capsys):
+        # the only configuration collides in characteristic 2
+        code, out, err = run(
+            capsys,
+            "scan", "--alphas=1/2,1/2", "--points", "0,2", "--char", "2",
+            "--configs", "0",
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error:")
+
     def test_planted_unstable_config_exit_two(self, capsys):
         # chords divisor with its concurrent configuration planted via --points
         code, out, _ = run(
@@ -193,6 +203,30 @@ class TestPlumbing:
 
     def test_bad_flag_exit_one(self, capsys):
         assert main(["gens", "--bogus"]) == 1
+
+    def test_non_integer_chars_rejected(self, capsys):
+        code, _, err = run(capsys, "scan", "--alphas=-1/2,1/3,1/5", "--chars", "x")
+        assert code == 1
+        assert "error:" in err and "--chars" in err
+
+    def test_negative_max_degree_rejected(self, capsys):
+        code, out, err = run(capsys, "dims", "--alphas", "1/2", "--max-degree", "-1")
+        assert (code, out) == (1, "")
+        assert "error:" in err and "--max-degree" in err
+
+    def test_negative_truncation_rejected(self, capsys):
+        code, out, err = run(
+            capsys, "rels", "--alphas=-1/2,1/3,1/5", "--truncation", "-2", "--json"
+        )
+        assert (code, out) == (1, "")
+        assert "error:" in err and "--truncation" in err
+
+    def test_negative_configs_rejected(self, capsys):
+        code, out, err = run(
+            capsys, "scan", "--alphas", "2,0,0", "--configs", "-1", "--json"
+        )
+        assert (code, out) == (1, "")
+        assert "error:" in err and "--configs" in err
 
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "report.json"

@@ -12,7 +12,6 @@ from canring.conelattice import (
     barycentric_coordinates,
     build_cone_model,
     decompose,
-    epsilon_vector,
     monomial_basis,
     monomial_spanning_set,
     semigroup_generators,
@@ -145,16 +144,16 @@ class TestConeModel:
 class TestEpsilon:
     def test_235(self):
         model = build_cone_model(D235)
-        assert epsilon_vector(model) == (30, 15, -10, -6)
+        assert model.epsilon == (30, 15, -10, -6)
 
     def test_single_integer_point(self):
         model = build_cone_model(QDivisor.of(["inf"], [1]))
         # ghost-padded to alphas (1, 0)
-        assert epsilon_vector(model) == (1, -1, 0)
+        assert model.epsilon == (1, -1, 0)
 
     def test_two_point(self):
         model = build_cone_model(D2PT)
-        assert epsilon_vector(model) == (F("20/47"), F("-52/47"), F("5/47"))
+        assert model.epsilon == (F("20/47"), F("-52/47"), F("5/47"))
 
     def test_relation_bound_audit(self):
         # deg(epsilon + sum of rays) = 1/deg D + sum ell_i

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from canring.errors import CanringError, SpanError
+from canring.errors import CanringError
 from canring.exactla import (
     ExactMatrix,
     FieldSpec,
@@ -12,7 +12,6 @@ from canring.exactla import (
     SparseRowBasis,
     TrackingRowBasis,
     kernel_basis,
-    quotient_complement,
     rank,
     row_reduce,
 )
@@ -116,26 +115,28 @@ class TestKernel:
 
 
 class TestQuotientComplement:
+    """Greedy complement selection: RowBasis.add keeps exactly the
+    candidates that extend the span, as minimal_generators relies on."""
+
     def test_zero_subspace(self):
-        sub = ExactMatrix(QQ, [], ncols=3)
-        cands = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-        assert quotient_complement(sub, qmat(cands).rows) == [0, 1, 2]
+        rb = RowBasis(QQ, 3)
+        cands = qmat([[1, 0, 0], [0, 1, 0], [0, 0, 1]]).rows
+        assert [i for i, c in enumerate(cands) if rb.add(c)] == [0, 1, 2]
 
     def test_greedy_selection(self):
-        sub = qmat([[1, 0, 0]])
+        rb = RowBasis(QQ, 3)
+        rb.add(qmat([[1, 0, 0]]).rows[0])
         cands = qmat([[1, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 1]]).rows
-        assert quotient_complement(sub, cands) == [1, 3]
-
-    def test_span_failure(self):
-        sub = qmat([[1, 0, 0]])
-        with pytest.raises(SpanError):
-            quotient_complement(sub, qmat([[1, 1, 0]]).rows)
+        assert [i for i, c in enumerate(cands) if rb.add(c)] == [1, 3]
+        assert rb.rank == 3
 
     @settings(max_examples=40, deadline=None)
     @given(st.permutations([[0, 1, 0], [0, 0, 1], [0, 1, 1], [1, 1, 1]]))
     def test_selection_size_order_independent(self, cands):
-        sub = qmat([[1, 0, 0]])
-        assert len(quotient_complement(sub, qmat(cands).rows)) == 2
+        rb = RowBasis(QQ, 3)
+        rb.add(qmat([[1, 0, 0]]).rows[0])
+        assert sum(rb.add(c) for c in qmat(cands).rows) == 2
+        assert rb.rank == 3
 
 
 class TestRowBasis:
@@ -146,7 +147,7 @@ class TestRowBasis:
         assert not rb.add([field.of(2), field.of(4), field.of(6)])
         assert rb.add([field.of(0), field.of(1), field.of(1)])
         assert rb.rank == 2
-        assert rb.contains([field.of(1), field.of(3), field.of(4)])
+        assert not rb.add([field.of(1), field.of(3), field.of(4)])
 
     def test_fraction_input_char0(self):
         rb = RowBasis(QQ, 2)

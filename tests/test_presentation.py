@@ -2,16 +2,20 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from canring.divisor import QDivisor, graded_dim
+from canring.divisor import QDivisor, degree_bounds, denominator_data, graded_dim
 from canring.errors import (
+    CanringError,
     GenerationError,
     OversizeError,
     PointCollisionError,
     UnsupportedDivisorError,
 )
-from canring.exactla import FieldSpec, rank
+from canring.exactla import ExactMatrix, FieldSpec, rank
 from canring.presentation import (
+    _Realization,
     brute_force_oracle,
     generic_configs,
     groebner_leading_terms,
@@ -19,13 +23,13 @@ from canring.presentation import (
     minimal_relation_degrees,
     relation_evaluates_to_zero,
     relation_ideal,
-    section_space,
     stability_scan,
     xgen_threshold,
 )
 from canring.twopoint import two_point_presentation
 
 QQ = FieldSpec(0)
+GFBIG = FieldSpec(2**61 - 1)
 
 
 def F(s):
@@ -40,24 +44,31 @@ def gen_degrees(gens):
     return sorted(g.degree for g in gens)
 
 
+def section_matrix(D, field, d):
+    """The degree-d basis sections of D as rows of an exact matrix."""
+    real = _Realization(D, field)
+    return ExactMatrix(field, real.basis_sections(d), ncols=max(real.r(d) + 1, 0))
+
+
 class TestSectionSpace:
+    """Graded pieces realized as section matrices by _Realization."""
+
     def test_235_degree30(self):
         # deg floor(30 D) = -15 + 10 + 6 = 1, so sections are linear
         # polynomials: a 2 x 2 matrix of full rank.
-        space = section_space(D235, QQ, 30)
-        assert space.coeff_matrix.nrows == 2
-        assert space.coeff_matrix.ncols == 2
-        assert rank(space.coeff_matrix) == 2
+        m = section_matrix(D235, QQ, 30)
+        assert m.nrows == 2
+        assert m.ncols == 2
+        assert rank(m) == 2
 
     def test_empty_piece(self):
-        space = section_space(D235, QQ, 5)
-        assert space.coeff_matrix.nrows == 0
-        assert space.basis_monomials == []
+        real = _Realization(D235, QQ)
+        assert real.basis_sections(5) == []
+        assert real.basis(5) == []
 
     def test_inflated_double_point(self):
         D = QDivisor.of(["inf", 0, 1], [2, 0, 0])
-        space = section_space(D, QQ, 1)
-        assert rank(space.coeff_matrix) == 3
+        assert rank(section_matrix(D, QQ, 1)) == 3
 
     def test_rank_equals_dim_on_samples(self):
         rng = random.Random(3)
@@ -69,15 +80,12 @@ class TestSectionSpace:
             pts = ["inf", 0, 1, -1][:n]
             D = QDivisor.of(pts, alphas)
             d = rng.randint(0, 20)
-            space = section_space(D, QQ, d)
-            assert rank(space.coeff_matrix) == graded_dim(D, d)
+            assert rank(section_matrix(D, QQ, d)) == graded_dim(D, d)
 
     def test_spanning_set_rank_equals_basis_rank(self):
         # every spanning monomial reduces to the pinned basis: the spanning
         # sections span no more than the basis sections
         from canring.conelattice import monomial_spanning_set
-        from canring.exactla import ExactMatrix
-        from canring.presentation import _Realization
 
         for char in (0, 7):
             field = FieldSpec(char)
@@ -94,12 +102,12 @@ class TestSectionSpace:
     def test_collision_mod_p(self):
         D = QDivisor.of([0, 7], [F("1/2"), F("1/2")])
         with pytest.raises(PointCollisionError):
-            section_space(D, FieldSpec(7), 2)
+            _Realization(D, FieldSpec(7))
 
     def test_denominator_reduces_to_infinity(self):
         D = QDivisor.of(["inf", F("1/2")], [F("1/2"), F("1/2")])
         with pytest.raises(PointCollisionError):
-            section_space(D, FieldSpec(2), 2)
+            _Realization(D, FieldSpec(2))
 
 
 class TestMinimalGenerators:
@@ -180,10 +188,13 @@ class TestRelations:
             got = minimal_relation_degrees(D, QQ, gens, up_to=window)
             assert got == expected, (alpha, beta)
 
-    def test_generation_error_on_truncated_gens(self):
+    @pytest.mark.parametrize(
+        "consumer", [relation_ideal, groebner_leading_terms], ids=lambda f: f.__name__
+    )
+    def test_generation_error_on_truncated_gens(self, consumer):
         gens = minimal_generators(D235, QQ, up_to=11)  # drops the degree-15 one
         with pytest.raises(GenerationError):
-            relation_ideal(D235, QQ, gens, up_to=35)
+            consumer(D235, QQ, gens, up_to=35)
 
 
 class TestGroebner:
@@ -223,8 +234,8 @@ class TestGroebner:
         )
         assert len(report.leading_terms) == len(degrees)
         # cross-check against an independent full row reduction per degree
-        from canring.exactla import ExactMatrix, row_reduce
-        from canring.presentation import _MonomialEvaluator, _Realization
+        from canring.exactla import row_reduce
+        from canring.presentation import _MonomialEvaluator
 
         real = _Realization(D, QQ)
         ev = _MonomialEvaluator(real, gens)
@@ -249,6 +260,31 @@ class TestGroebner:
             )
         ]
         assert sorted(minimal) == sorted(report.leading_terms)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        alphas=st.lists(
+            st.builds(Fraction, st.integers(-2, 2), st.integers(1, 4)),
+            min_size=1,
+            max_size=3,
+        ).filter(lambda a: sum(a) <= 1),
+        field=st.sampled_from([QQ, GFBIG]),
+    )
+    def test_minimal_relation_tops_lie_in_initial_ideal(self, alphas, field):
+        # the criterion-09 oracle ranges and windows
+        D = QDivisor.of(range(len(alphas)), alphas)
+        if D.degree < 0:
+            window = 8
+        elif D.degree == 0:
+            window = denominator_data(D).ell + 2
+        else:
+            window = min(degree_bounds(D)[1], 15)
+        gens = minimal_generators(D, field, up_to=window)
+        rels = relation_ideal(D, field, gens, window)
+        leading = groebner_leading_terms(D, field, gens, window).leading_terms
+        for rel in rels:
+            top = rel.terms[-1][0]  # terms run in ascending word order
+            assert any(all(a <= b for a, b in zip(lt, top)) for lt in leading)
 
 
 class TestThreshold:
@@ -315,6 +351,12 @@ class TestStabilityScan:
         assert report["runs"][0]["skipped"]
         assert not report["runs"][1]["skipped"]
 
+    def test_no_evaluated_configuration_raises(self):
+        with pytest.raises(CanringError):
+            stability_scan([F("1/2"), F("1/2")], [((0, 2), 2)])
+        with pytest.raises(CanringError):
+            stability_scan([F("1/2"), F("1/2")], [])
+
     def test_generic_configs_deterministic(self):
         a = generic_configs(3, 4, [0, 2], seed=9)
         b = generic_configs(3, 4, [0, 2], seed=9)
@@ -329,7 +371,7 @@ class TestStabilityScan:
             [F("-1/2"), F("1/3"), F("1/5")],
             configs,
             with_relations=True,
-            relations_up_to=35,
+            truncation=35,
         )
         assert report["stable"]
         assert report["relation_degrees_agree"] is True
@@ -346,7 +388,7 @@ class TestStabilityScan:
             ((0, 1, 2, 3, 4, 7), 0),
             ((0, 1, 2, 3, 4, F("9/5")), 0),
         ]
-        report = stability_scan(alphas, configs, with_relations=True, relations_up_to=61)
+        report = stability_scan(alphas, configs, with_relations=True, truncation=61)
         assert not report["stable"]
         assert report["relation_degrees_agree"] is False
         degs = [
