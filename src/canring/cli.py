@@ -50,8 +50,13 @@ _DEFAULT_POINTS = ["inf", "0", "1", "-1", "2", "-2", "3", "-3", "4", "-4"]
 
 def _load_divisor(args) -> tuple[QDivisor, FieldSpec]:
     if args.divisor:
-        with open(args.divisor, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+        try:
+            with open(args.divisor, "r", encoding="utf-8") as fh:
+                obj = json.load(fh)
+        except OSError as exc:
+            raise CanringError(f"cannot read divisor file: {exc}") from exc
+        except ValueError as exc:  # malformed JSON or undecodable bytes
+            raise CanringError(f"{args.divisor} is not a JSON file: {exc}") from exc
         D, char = divisor_from_json(obj)
         if args.char is not None:
             char = args.char
@@ -75,8 +80,11 @@ def _load_divisor(args) -> tuple[QDivisor, FieldSpec]:
 
 def _emit(args, text: str) -> None:
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise CanringError(f"cannot write report: {exc}") from exc
     else:
         print(text)
 

@@ -190,4 +190,9 @@ def divisor_from_json(obj: dict) -> tuple[QDivisor, int]:
     char = obj.get("char", 0)
     if not isinstance(char, int) or char < 0:
         raise CanringError(f"'char' must be 0 or a prime, got {char!r}")
-    return QDivisor.of(points, alphas), char
+    try:
+        return QDivisor.of(points, alphas), char
+    except CanringError:
+        raise
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise CanringError(f"malformed point or coefficient in {obj!r}") from exc

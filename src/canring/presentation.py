@@ -7,6 +7,12 @@ maps to prod over finite points of (t - p_i)^(c_i + b_i) where
 b_i = floor(d * alpha_i), a polynomial of degree <= r = deg floor(dD)
 stored as a coefficient vector of length r + 1.  Infinite points
 contribute the constant section 1.
+
+Products are formed over the integers: a finite point a/q contributes the
+factor (q t - a), whose powers each realization tabulates, and a section
+is one integer product divided once by its denominator prod q_i^(g_i)
+(in GF(p) the factor is (t - p_i), reduced mod p).  Sections therefore
+keep the rational coordinates of the monic factors (t - p_i).
 """
 
 from __future__ import annotations
@@ -86,23 +92,24 @@ class GroebnerReport:
     truncation_degree: int
 
 
-def _poly_mul(field: FieldSpec, a: Sequence, b: Sequence) -> list:
-    zero = field.zero
-    out = [zero] * (len(a) + len(b) - 1)
+def _poly_mul(field: FieldSpec, a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Product of integer coefficient vectors, reduced mod p in GF(p)."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b, i):
+                if bj:
+                    out[j] += ai * bj
     p = field.characteristic
-    if p:
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        out[i + j] = (out[i + j] + ai * bj) % p
-    else:
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        out[i + j] += ai * bj
-    return out
+    return [c % p for c in out] if p else out
+
+
+def _cleared(vec: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integer numerators of a rational vector over their common denominator."""
+    # unpack a list, not a generator: CPython builds a generator's argument
+    # tuple by resizing, which piles tuples up in its per-size free lists
+    den = math.lcm(*[c.denominator for c in vec])
+    return [c.numerator * (den // c.denominator) for c in vec], den
 
 
 class _Realization:
@@ -132,9 +139,19 @@ class _Realization:
         self._floors: dict[int, list[int]] = {}
         self._bases: dict[int, list[GradedMonomial]] = {}
         self._sections: dict[int, list[list]] = {}
-        self._linear: list = [
-            None if p is INFINITE else [field.neg(p), field.one] for p in self.points
-        ]
+        self._zero = field.zero
+        self._denominators: list[int] = []  # q_i, or 0 at an infinite point
+        self._powers: list[list[list[int]]] = []  # (q_i t - a_i)^k by k, grown on demand
+        for pt in self.points:
+            if pt is INFINITE:
+                self._denominators.append(0)
+                self._powers.append([[1]])
+            elif field.characteristic:
+                self._denominators.append(1)
+                self._powers.append([[1], [field.neg(pt), 1]])
+            else:
+                self._denominators.append(pt.denominator)
+                self._powers.append([[1], [-pt.numerator, pt.denominator]])
 
     def floors(self, d: int) -> list[int]:
         if d not in self._floors:
@@ -152,17 +169,39 @@ class _Realization:
             self._bases[d] = monomial_basis(self.divisor, d)
         return self._bases[d]
 
+    def _power(self, i: int, k: int) -> list[int]:
+        """(q_i t - a_i)^k; the constant 1 at an infinite point."""
+        table = self._powers[i]
+        if self._denominators[i]:
+            while len(table) <= k:
+                table.append(_poly_mul(self.field, table[-1], table[1]))
+            return table[k]
+        return table[0]
+
+    def _product(self, poly: list[int], exponents: Sequence[int]) -> tuple[list[int], int]:
+        """poly times prod_i (q_i t - a_i)^(g_i), with prod_i q_i^(g_i)."""
+        den = 1
+        for i, g in enumerate(exponents):
+            if g and self._denominators[i]:
+                poly = _poly_mul(self.field, poly, self._power(i, g))
+                den *= self._denominators[i] ** g
+        return poly, den
+
+    def _to_field(self, poly: list[int], den: int, width: int) -> list:
+        """The field vector poly / den, padded to width coordinates."""
+        if any(poly[width:]):
+            raise AssertionError("section left the graded piece")
+        zero = self._zero
+        if self.field.characteristic:
+            out = poly[:width]
+        else:
+            out = [Fraction(c, den) if c else zero for c in poly[:width]]
+        out += [zero] * (width - len(out))
+        return out
+
     def render_exponents(self, exponents: Sequence[int], width: int) -> list:
         """Coefficients of prod over finite points of (t - p_i)^(g_i)."""
-        poly = [self.field.one]
-        for g, lin in zip(exponents, self._linear):
-            if lin is None:
-                continue
-            for _ in range(g):
-                poly = _poly_mul(self.field, poly, lin)
-        if len(poly) > width:
-            raise AssertionError("rendered section exceeds the graded piece")
-        return poly + [self.field.zero] * (width - len(poly))
+        return self._to_field(*self._product([1], exponents), width)
 
     def render(self, mono: GradedMonomial) -> list:
         b = self.floors(mono.d)
@@ -179,35 +218,36 @@ class _Realization:
         """Product of sections, expressed in the coordinates of degree d1+d2."""
         d = d1 + d2
         b, b1, b2 = self.floors(d), self.floors(d1), self.floors(d2)
-        poly = _poly_mul(self.field, v1, v2)
-        for i, lin in enumerate(self._linear):
-            if lin is None:
-                continue
-            for _ in range(b[i] - b1[i] - b2[i]):
-                poly = _poly_mul(self.field, poly, lin)
-        width = self.r(d) + 1
-        while len(poly) < width:
-            poly.append(self.field.zero)
-        if any(poly[width:]):
-            raise AssertionError("section product left the graded piece")
-        return poly[:width]
+        if self.field.characteristic:
+            den = 1
+        else:
+            v1, den1 = _cleared(v1)
+            v2, den2 = _cleared(v2)
+            den = den1 * den2
+        poly, excess_den = self._product(
+            _poly_mul(self.field, v1, v2),
+            [bi - bi1 - bi2 for bi, bi1, bi2 in zip(b, b1, b2)],
+        )
+        return self._to_field(poly, den * excess_den, self.r(d) + 1)
 
-    def defect_sections(self, d: int, subset: frozenset[int]) -> list[list]:
-        """Basis of u^d H^0(floor(dD) - sum_{i in subset} P_i) in degree-d
-        coordinates; empty when that space is zero."""
+    def defect_sections(self, d: int, subset: frozenset[int]) -> list[list[int]]:
+        """Spanning rows of u^d H^0(floor(dD) - sum_{i in subset} P_i) in
+        degree-d coordinates, each an integer multiple of a section; empty
+        when that space is zero."""
         b = self.floors(d)
-        f = [bi - (1 if i in subset else 0) for i, bi in enumerate(b)]
-        e = sum(f)
+        e = sum(b) - len(subset)
         if e < 0:
             return []
         width = self.r(d) + 1
+        base, _ = self._product(
+            [1], [1 if i in subset and i > 1 else 0 for i in range(len(b))]
+        )
+        g0, g1 = int(0 in subset), int(1 in subset)
         out = []
-        base = [bi - fi for bi, fi in zip(b, f)]
         for k in range(e + 1):
-            g = list(base)
-            g[0] += k
-            g[1] += e - k
-            out.append(self.render_exponents(g, width))
+            row = _poly_mul(self.field, base, self._power(0, g0 + k))
+            row = _poly_mul(self.field, row, self._power(1, g1 + e - k))
+            out.append(row + [0] * (width - len(row)))
         return out
 
     def marked_order(self, mono: GradedMonomial) -> int:

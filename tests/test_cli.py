@@ -85,6 +85,15 @@ class TestRelsAndGroebner:
         report = json.loads(out)
         assert report["relations"] == [{"degree": 30, "support_size": 3}]
 
+    def test_rels_pretty_coefficients(self, capsys):
+        # rational points: sections keep their rational coordinates, so the
+        # printed coefficients are those of the monic factors (t - p_i)
+        code, out, _ = run(
+            capsys, "rels", "--alphas=-1/2,1/3,1/5", "--points", "1/2,-3/4,5/3"
+        )
+        assert code == 0
+        assert "  degree   30: (-150/203)*x1^5 + (-20/29)*x2^3 + (10/7)*x3^2\n" in out
+
     def test_groebner_235(self, capsys):
         code, out, _ = run(
             capsys,
@@ -227,6 +236,25 @@ class TestPlumbing:
         )
         assert (code, out) == (1, "")
         assert "error:" in err and "--configs" in err
+
+    def test_missing_divisor_file(self, capsys, tmp_path):
+        path = tmp_path / "absent.json"
+        code, out, err = run(capsys, "gens", "--divisor", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: cannot read divisor file") and str(path) in err
+
+    def test_malformed_divisor_file(self, capsys, tmp_path):
+        path = tmp_path / "d.json"
+        path.write_text("{not json")
+        code, out, err = run(capsys, "gens", "--divisor", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {path} is not a JSON file")
+
+    def test_unwritable_output(self, capsys, tmp_path):
+        path = tmp_path / "absent" / "x"
+        code, out, err = run(capsys, "gens", "--alphas=1/2,1/3", "--output", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: cannot write report") and str(path) in err
 
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "report.json"

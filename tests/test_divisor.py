@@ -144,3 +144,20 @@ class TestJson:
     def test_rejects_missing_keys(self):
         with pytest.raises(CanringError):
             divisor_from_json({"points": ["0"]})
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"points": [[0]], "alphas": ["1/2"]},
+            {"points": ["0"], "alphas": ["abc"]},
+            {"points": ["0"], "alphas": ["1/0"]},
+            {"points": ["0"], "alphas": [None]},
+        ],
+    )
+    def test_rejects_malformed_entries(self, obj):
+        with pytest.raises(CanringError, match="malformed"):
+            divisor_from_json(obj)
+
+    def test_keeps_specific_errors(self):
+        with pytest.raises(CanringError, match="pairwise distinct"):
+            divisor_from_json({"points": ["0", "0"], "alphas": ["1", "1"]})

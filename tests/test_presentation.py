@@ -110,6 +110,111 @@ class TestSectionSpace:
             _Realization(D, FieldSpec(2))
 
 
+def reference_product(real, exponents, start=None):
+    """start (default 1) times prod over finite points of (t - p_i)^(g_i),
+    one linear factor at a time, in Fractions or mod p."""
+    field = real.field
+    p = field.characteristic
+    poly = list(start) if start is not None else [field.one]
+    for pt, g in zip(real.divisor.points, exponents):
+        if pt.is_infinity or (p and pt.value.denominator % p == 0):
+            continue  # the point is infinite in this field
+        a = field.of(pt.value)
+        for _ in range(g):
+            poly = [
+                field.sub(x, field.mul(a, y))
+                for x, y in zip([field.zero] + poly, poly + [field.zero])
+            ]
+    return poly
+
+
+def padded_to(poly, width, field):
+    assert not any(poly[width:])
+    return poly[:width] + [field.zero] * (width - len(poly))
+
+
+def span_rank(field, rows, width):
+    return rank(ExactMatrix(field, [[field.of(x) for x in r] for r in rows], ncols=width))
+
+
+_RENDER_POINTS = st.one_of(
+    # inf, and a point that reduces to infinity in GF(2^61 - 1)
+    st.sampled_from(["inf", Fraction(3, 2**61 - 1)]),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)),
+)
+
+
+class TestRenderReference:
+    """The integer render layer against naive products of linear factors."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        terms=st.lists(
+            st.tuples(_RENDER_POINTS, st.builds(Fraction, st.integers(-2, 3), st.integers(1, 4))),
+            min_size=1,
+            max_size=4,
+            unique_by=lambda term: term[0],
+        ).filter(lambda terms: sum(a for _, a in terms) > 0),
+        field=st.sampled_from([QQ, GFBIG]),
+        data=st.data(),
+    )
+    def test_matches_naive_products(self, terms, field, data):
+        points, alphas = zip(*terms)
+        try:
+            real = _Realization(QDivisor.of(points, alphas), field)
+        except PointCollisionError:
+            return  # the reduced point collides with inf
+        n = real.divisor.n
+
+        exps = data.draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+        width = sum(exps) + 1 + data.draw(st.integers(0, 2))
+        got = real.render_exponents(exps, width)
+        want = padded_to(reference_product(real, exps), width, field)
+        assert got == want
+        assert list(map(type, got)) == list(map(type, want))
+
+        d1, d2 = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+        for d in (d1, d2):
+            floors = real.floors(d)
+            for mono, vec in zip(real.basis(d), real.basis_sections(d)):
+                g = [c + b for c, b in zip(mono.c, floors)]
+                assert vec == padded_to(reference_product(real, g), real.r(d) + 1, field)
+
+        coeff = st.builds(Fraction, st.integers(-7, 7), st.integers(1, 5)).map(field.of)
+        if real.dim(d1) and real.dim(d2):
+            v1 = data.draw(st.lists(coeff, min_size=real.dim(d1), max_size=real.dim(d1)))
+            v2 = data.draw(st.lists(coeff, min_size=real.dim(d2), max_size=real.dim(d2)))
+            excess = [
+                b - b1 - b2
+                for b, b1, b2 in zip(real.floors(d1 + d2), real.floors(d1), real.floors(d2))
+            ]
+            conv = [field.zero] * (len(v1) + len(v2) - 1)
+            for i, x in enumerate(v1):
+                for j, y in enumerate(v2):
+                    conv[i + j] = field.add(conv[i + j], field.mul(x, y))
+            got = real.multiply(d1, v1, d2, v2)
+            want = padded_to(reference_product(real, excess, conv), real.r(d1 + d2) + 1, field)
+            assert got == want
+            assert list(map(type, got)) == list(map(type, want))
+
+        subset = frozenset(data.draw(st.sets(st.integers(0, n - 1))))
+        floors = real.floors(d1)
+        e = sum(floors) - len(subset)
+        width = real.r(d1) + 1
+        rows = real.defect_sections(d1, subset)
+        assert len(rows) == max(e + 1, 0)
+        ref_rows = []
+        for k in range(e + 1):
+            g = [int(i in subset) for i in range(n)]
+            g[0] += k
+            g[1] += e - k
+            ref_rows.append(padded_to(reference_product(real, g), width, field))
+        if ref_rows:
+            ref_rank = span_rank(field, ref_rows, width)
+            assert span_rank(field, rows, width) == ref_rank
+            assert span_rank(field, rows + ref_rows, width) == ref_rank
+
+
 class TestMinimalGenerators:
     def test_235_degrees(self):
         gens = minimal_generators(D235, QQ)
