@@ -188,9 +188,15 @@ def divisor_from_json(obj: dict) -> tuple[QDivisor, int]:
     except (KeyError, TypeError) as exc:
         raise CanringError(f"divisor object needs 'points' and 'alphas': {obj!r}") from exc
     char = obj.get("char", 0)
-    if not isinstance(char, int) or char < 0:
-        raise CanringError(f"'char' must be 0 or a prime, got {char!r}")
+    if type(char) is not int or char < 0:  # bool is an int subclass
+        raise CanringError(f"malformed 'char' {char!r}: must be 0 or a prime")
     try:
+        # a JSON float is binary, not the decimal it shows, and true reads 1
+        if not all(isinstance(x, str) or type(x) is int for x in (*points, *alphas)):
+            raise CanringError(
+                f"malformed point or coefficient in {obj!r}: "
+                "give strings or integers, not floats or booleans"
+            )
         return QDivisor.of(points, alphas), char
     except CanringError:
         raise

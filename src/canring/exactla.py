@@ -92,7 +92,7 @@ class FieldSpec:
             raise ZeroDivisionError("field inverse of zero")
         if self.characteristic:
             return pow(a, -1, self.characteristic)
-        return 1 / a
+        return Fraction(1) / a  # exact for int input as well
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))

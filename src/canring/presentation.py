@@ -17,7 +17,6 @@ keep the rational coordinates of the monic factors (t - p_i).
 
 from __future__ import annotations
 
-import functools
 import math
 import random
 from dataclasses import dataclass
@@ -345,25 +344,15 @@ def minimal_generators(
     return found
 
 
-def _word_cmp(e1: tuple[int, ...], e2: tuple[int, ...]) -> int:
-    """Dictionary comparison of monomial words x_1^{e1[0]} x_2^{e1[1]} ...
+def _word(e: tuple[int, ...]) -> tuple[int, ...]:
+    """Sort key of the dictionary word order on monomials x_1^{e[0]} x_2^{e[1]} ...
 
     The word of a monomial lists its variable indices in increasing order
-    with multiplicity; comparison is plain dictionary order, a proper
+    with multiplicity; tuple comparison is dictionary order, a proper
     prefix coming first.
     """
-    n = len(e1)
-    for v in range(n):
-        a, b = e1[v], e2[v]
-        if a == b:
-            continue
-        if a < b:
-            return -1 if not any(e1[v + 1 :]) else 1
-        return 1 if not any(e2[v + 1 :]) else -1
-    return 0
-
-
-_word_key = functools.cmp_to_key(_word_cmp)
+    # from a list, not a generator: see _cleared on resized tuples
+    return tuple([k for k, x in enumerate(e) for _ in range(x)])
 
 
 def _weighted_exponents(weights: Sequence[int], total: int) -> list[tuple[int, ...]]:
@@ -415,7 +404,7 @@ class _MonomialEvaluator:
         return vec
 
     def exponents_of_degree(self, d: int) -> list[tuple[int, ...]]:
-        return sorted(_weighted_exponents(self.weights, d), key=_word_key)
+        return sorted(_weighted_exponents(self.weights, d), key=_word)
 
 
 def _default_rel_bound(D: QDivisor) -> int:
@@ -435,9 +424,11 @@ def _graded_pieces(
 ) -> Iterator[tuple]:
     """The degreewise pass behind relation_ideal and groebner_leading_terms.
 
-    For d = 2..up_to yields d, the (monomial, section) pairs of degree d in
-    ascending word order, and an empty basis_type(field, width) that the
-    caller adds every section to; then checks that the basis spans S_d.
+    For d = 2..up_to yields d, the exponent tuples of degree d in ascending
+    word order, the memoized renderer of their sections, and an empty
+    basis_type(field, width) that the caller adds sections to; then checks
+    that the basis spans S_d.  Only the monomials the caller renders are
+    rendered.
     """
     real = _Realization(D, field)
     ev = _MonomialEvaluator(real, gens)
@@ -453,7 +444,7 @@ def _graded_pieces(
         if dim <= 0:
             raise AssertionError("monomials exist in a zero graded piece")
         basis = basis_type(field, real.r(d) + 1)
-        yield d, ((e, ev.section(e)) for e in exps), basis
+        yield d, exps, ev.section, basis
         if basis.rank != dim:
             raise GenerationError(
                 f"generators span only {basis.rank} of {dim} dimensions in degree {d}"
@@ -480,10 +471,10 @@ def relation_ideal(
         up_to = _default_rel_bound(D)
     kernels: dict[int, list[dict]] = {}
     minimal: list[RelationPoly] = []
-    for d, pieces, tracker in _graded_pieces(D, field, gens, up_to, TrackingRowBasis):
+    for d, exps, section, tracker in _graded_pieces(D, field, gens, up_to, TrackingRowBasis):
         found: list[dict] = []
-        for e, vec in pieces:
-            combo = tracker.add(vec, e)
+        for e in exps:
+            combo = tracker.add(section(e), e)
             if combo is not None:
                 found.append(combo)
         if not found:
@@ -511,7 +502,7 @@ def relation_ideal(
         if not saturated:
             for vec in found:
                 if nakayama.add(vec):
-                    terms = tuple(sorted(vec.items(), key=lambda t: _word_key(t[0])))
+                    terms = tuple(sorted(vec.items(), key=lambda t: _word(t[0])))
                     minimal.append(RelationPoly(d, terms))
         kernels[d] = found
     return minimal
@@ -537,27 +528,28 @@ def groebner_leading_terms(
 
     In each degree the monomials are added to a row basis in ascending
     order; a monomial whose section does not enlarge the span is the
-    initial term of a relation.  The report lists the divisibility-minimal
-    such monomials up to the truncation degree.
+    initial term of a relation.  The word order is multiplicative within a
+    degree, so a multiple of an initial term is again one: it is skipped,
+    neither rendered nor added.  A skipped section lies in the span of the
+    sections below it, so by induction the standard monomials below e span
+    what all monomials below e span, and every monomial that is added is
+    judged as if all were.  The initial terms found are those that no
+    lower-degree initial term divides: exactly the divisibility-minimal
+    ones up to the truncation degree.
     """
     if up_to is None:
         up_to = _default_rel_bound(D)
-    hits: list[tuple[int, ...]] = []
-    for _, pieces, span in _graded_pieces(D, field, gens, up_to, RowBasis):
-        for e, vec in pieces:
-            if not span.add(vec):
-                hits.append(e)
-    minimal = [
-        e
-        for e in hits
-        if not any(
-            other != e and all(o <= x for o, x in zip(other, e)) for other in hits
-        )
-    ]
-    minimal.sort(key=_word_key)
+    leading: list[tuple[int, ...]] = []
+    for _, exps, section, span in _graded_pieces(D, field, gens, up_to, RowBasis):
+        for e in exps:
+            if any(all(a <= x for a, x in zip(lt, e)) for lt in leading):
+                continue
+            if not span.add(section(e)):
+                leading.append(e)
+    leading.sort(key=_word)
     return GroebnerReport(
         order="revlex (dictionary word order on generator monomials)",
-        leading_terms=tuple(minimal),
+        leading_terms=tuple(leading),
         truncation_degree=up_to,
     )
 

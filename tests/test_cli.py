@@ -250,6 +250,13 @@ class TestPlumbing:
         assert (code, out) == (1, "")
         assert err.startswith(f"error: {path} is not a JSON file")
 
+    def test_boolean_coefficient_rejected(self, capsys, tmp_path):
+        path = tmp_path / "d.json"
+        path.write_text('{"points": ["0", "1"], "alphas": [true, "1/3"]}')
+        code, out, err = run(capsys, "gens", "--divisor", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: malformed point or coefficient")
+
     def test_unwritable_output(self, capsys, tmp_path):
         path = tmp_path / "absent" / "x"
         code, out, err = run(capsys, "gens", "--alphas=1/2,1/3", "--output", str(path))

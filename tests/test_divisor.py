@@ -152,6 +152,10 @@ class TestJson:
             {"points": ["0"], "alphas": ["abc"]},
             {"points": ["0"], "alphas": ["1/0"]},
             {"points": ["0"], "alphas": [None]},
+            {"points": [0], "alphas": [0.1]},
+            {"points": [True, 0], "alphas": ["1/2", "1/3"]},
+            {"points": ["0", "1"], "alphas": [True, "1/3"]},
+            {"points": ["0"], "alphas": ["1/2"], "char": True},
         ],
     )
     def test_rejects_malformed_entries(self, obj):

@@ -47,6 +47,21 @@ class TestFieldSpec:
         assert GF7.div(GF7.one, 3) == 5
         assert GF7.sub(2, 5) == 4
 
+    def test_int_input_stays_exact_over_qq(self):
+        rref, pivots = row_reduce(ExactMatrix(QQ, [[3, 1], [1, 1]]))
+        assert pivots == [0, 1]
+        assert rref.rows == [[1, 0], [0, 1]]
+        assert all(type(x) is Fraction for row in rref.rows for x in row)
+        kernel = kernel_basis(ExactMatrix(QQ, [[3, 1, 1]]))
+        assert kernel == [[Fraction(-1, 3), 1, 0], [Fraction(-1, 3), 0, 1]]
+        assert all(type(x) is Fraction for vec in kernel for x in vec)
+        srb = SparseRowBasis(QQ)
+        assert srb.add({0: 3, 1: 1})
+        assert not srb.add({0: 6, 1: 2})
+        (stored,) = srb._pivots.values()
+        assert stored == {0: 1, 1: Fraction(1, 3)}
+        assert all(type(x) is Fraction for x in stored.values())
+
 
 class TestRowReduce:
     def test_identity(self):

@@ -1,3 +1,5 @@
+import functools
+import itertools
 import random
 from fractions import Fraction
 
@@ -13,9 +15,11 @@ from canring.errors import (
     PointCollisionError,
     UnsupportedDivisorError,
 )
-from canring.exactla import ExactMatrix, FieldSpec, rank
+from canring.exactla import ExactMatrix, FieldSpec, RowBasis, rank
 from canring.presentation import (
+    _MonomialEvaluator,
     _Realization,
+    _word,
     brute_force_oracle,
     generic_configs,
     groebner_leading_terms,
@@ -29,6 +33,8 @@ from canring.presentation import (
 from canring.twopoint import two_point_presentation
 
 QQ = FieldSpec(0)
+GF2 = FieldSpec(2)
+GF7 = FieldSpec(7)
 GFBIG = FieldSpec(2**61 - 1)
 
 
@@ -38,6 +44,11 @@ def F(s):
 
 D235 = QDivisor.of(["inf", 0, 1], [F("-1/2"), F("1/3"), F("1/5")])
 D2PT = QDivisor.of(["inf", 0], [F("13/5"), F("-1/4")])
+# criterion 07: 9/5 is where the chords (0,1), (2,3), (4,x) of the conic concur
+CHORDS = QDivisor.of(
+    [0, 1, 2, 3, 4, F("9/5")],
+    [F("-1/2"), F("-1/2"), F("1/3"), F("1/3"), F("1/5"), F("1/5")],
+)
 
 
 def gen_degrees(gens):
@@ -302,7 +313,69 @@ class TestRelations:
             consumer(D235, QQ, gens, up_to=35)
 
 
+def word_cmp(e1, e2):
+    """Dictionary comparison of the words x_1^{e[0]} x_2^{e[1]} ..., a proper
+    prefix first, read off the exponents."""
+    for v in range(len(e1)):
+        a, b = e1[v], e2[v]
+        if a == b:
+            continue
+        if a < b:
+            return -1 if not any(e1[v + 1 :]) else 1
+        return 1 if not any(e2[v + 1 :]) else -1
+    return 0
+
+
+def reference_leading_terms(D, field, gens, up_to):
+    """Every monomial of every degree through a RowBasis in word order; the
+    hits filtered to the divisibility-minimal ones."""
+    real = _Realization(D, field)
+    ev = _MonomialEvaluator(real, gens)
+    weights = [g.degree for g in gens]
+    hits = []
+    for d in range(2, up_to + 1):
+        exps = [
+            e
+            for e in itertools.product(*(range(d // w + 1) for w in weights))
+            if sum(x * w for x, w in zip(e, weights)) == d
+        ]
+        span = RowBasis(field, real.r(d) + 1)
+        for e in sorted(exps, key=functools.cmp_to_key(word_cmp)):
+            if not span.add(ev.section(e)):
+                hits.append(e)
+    minimal = [
+        e
+        for e in hits
+        if not any(o != e and all(a <= b for a, b in zip(o, e)) for o in hits)
+    ]
+    return tuple(sorted(minimal, key=functools.cmp_to_key(word_cmp)))
+
+
+def criterion_09_window(D):
+    if D.degree < 0:
+        return 8
+    if D.degree == 0:
+        return denominator_data(D).ell + 2
+    return min(degree_bounds(D)[1], 15)
+
+
+_CRITERION_09_ALPHAS = st.lists(
+    st.builds(Fraction, st.integers(-2, 2), st.integers(1, 4)),
+    min_size=1,
+    max_size=3,
+).filter(lambda a: sum(a) <= 1)
+
+
 class TestGroebner:
+    def test_word_key_is_dictionary_order(self):
+        exps = list(itertools.product(range(4), repeat=4))
+        for n in range(1, 5):
+            monos = sorted({e[:n] for e in exps})
+            by_cmp = sorted(monos, key=functools.cmp_to_key(word_cmp))
+            assert sorted(monos, key=_word) == by_cmp
+            for e1, e2 in itertools.combinations(by_cmp, 2):
+                assert _word(e1) < _word(e2)
+
     def test_235_single_leading_term(self):
         gens = minimal_generators(D235, QQ)
         report = groebner_leading_terms(D235, QQ, gens)
@@ -365,31 +438,49 @@ class TestGroebner:
             )
         ]
         assert sorted(minimal) == sorted(report.leading_terms)
+        # leading terms of several degrees, reported in word order
+        assert report.leading_terms == reference_leading_terms(D, QQ, gens, 8)
 
     @settings(max_examples=40, deadline=None)
-    @given(
-        alphas=st.lists(
-            st.builds(Fraction, st.integers(-2, 2), st.integers(1, 4)),
-            min_size=1,
-            max_size=3,
-        ).filter(lambda a: sum(a) <= 1),
-        field=st.sampled_from([QQ, GFBIG]),
-    )
+    @given(alphas=_CRITERION_09_ALPHAS, field=st.sampled_from([QQ, GFBIG]))
     def test_minimal_relation_tops_lie_in_initial_ideal(self, alphas, field):
         # the criterion-09 oracle ranges and windows
         D = QDivisor.of(range(len(alphas)), alphas)
-        if D.degree < 0:
-            window = 8
-        elif D.degree == 0:
-            window = denominator_data(D).ell + 2
-        else:
-            window = min(degree_bounds(D)[1], 15)
+        window = criterion_09_window(D)
         gens = minimal_generators(D, field, up_to=window)
         rels = relation_ideal(D, field, gens, window)
         leading = groebner_leading_terms(D, field, gens, window).leading_terms
         for rel in rels:
             top = rel.terms[-1][0]  # terms run in ascending word order
             assert any(all(a <= b for a, b in zip(lt, top)) for lt in leading)
+
+    @settings(max_examples=60, deadline=None)
+    @given(alphas=_CRITERION_09_ALPHAS, field=st.sampled_from([QQ, GF2, GF7, GFBIG]))
+    def test_matches_full_elimination(self, alphas, field):
+        D = QDivisor.of(range(len(alphas)), alphas)
+        try:
+            _Realization(D, field)
+        except PointCollisionError:
+            return  # the points 0, 1, 2 collide in GF(2)
+        window = criterion_09_window(D)
+        gens = minimal_generators(D, field, up_to=window)
+        report = groebner_leading_terms(D, field, gens, window)
+        assert report.leading_terms == reference_leading_terms(D, field, gens, window)
+
+    @pytest.mark.parametrize("field", [QQ, GFBIG])
+    def test_renders_standard_monomials_and_leading_terms_only(self, field, monkeypatch):
+        gens = minimal_generators(CHORDS, field)
+        calls = []
+        multiply = _Realization.multiply
+
+        def counted(self, *args):
+            calls.append(args[0])
+            return multiply(self, *args)
+
+        monkeypatch.setattr(_Realization, "multiply", counted)
+        report = groebner_leading_terms(CHORDS, field, gens, up_to=120)
+        standard = sum(graded_dim(CHORDS, d) for d in range(1, 121))
+        assert len(calls) == standard + len(report.leading_terms)
 
 
 class TestThreshold:
