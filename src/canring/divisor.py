@@ -187,6 +187,9 @@ def divisor_from_json(obj: dict) -> tuple[QDivisor, int]:
         alphas = obj["alphas"]
     except (KeyError, TypeError) as exc:
         raise CanringError(f"divisor object needs 'points' and 'alphas': {obj!r}") from exc
+    if not (isinstance(points, list) and isinstance(alphas, list)):
+        # a string or an object would be read one character or key at a time
+        raise CanringError(f"malformed 'points' or 'alphas' in {obj!r}: both must be JSON lists")
     char = obj.get("char", 0)
     if type(char) is not int or char < 0:  # bool is an int subclass
         raise CanringError(f"malformed 'char' {char!r}: must be 0 or a prime")

@@ -1,17 +1,22 @@
 """Exact linear algebra over the rationals and over prime fields.
 
 Matrix entries are ``fractions.Fraction`` in characteristic 0 and plain
-ints in [0, p) in characteristic p.  The incremental ``RowBasis`` keeps
-characteristic-0 rows as content-stripped integer vectors so elimination
-never leaves the integers; the one-shot ``row_reduce`` returns the usual
-normalized reduced echelon form.
+ints in [0, p) in characteristic p.  The incremental ``RowBasis`` and
+``TrackingRowBasis`` keep characteristic-0 rows as content-stripped integer
+vectors so elimination never leaves the integers; ``TrackingRowBasis``
+keeps each row's expression in the added rows fraction-free too, as an
+integer dict over one carried denominator, and builds ``Fraction``s only
+for the combinations it returns.  The one-shot ``row_reduce`` returns the
+usual normalized reduced echelon form.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .errors import CanringError
@@ -175,25 +180,40 @@ def kernel_basis(m: ExactMatrix) -> list[list]:
     return basis
 
 
-def _strip_content(row: list[int]) -> list[int]:
+def _strip_content(row: list[int]) -> tuple[list[int], int]:
+    """The row divided by its content, and that content (1 for a zero row)."""
     g = 0
     for x in row:
         g = math.gcd(g, x)
         if g == 1:
-            return row
+            return row, 1
     if g <= 1:
-        return row
-    return [x // g for x in row]
+        return row, 1
+    return [x // g for x in row], g
 
 
-def _to_integer_row(vec: Sequence) -> list[int]:
+def _to_integer_row(vec: Sequence) -> tuple[list[int], int, int]:
+    """(row, num, den): the content-stripped integer row vec * num/den.
+
+    num is the lcm of the denominators and den the content it clears; they
+    share no prime, so num/den is in lowest terms (1/1 for a zero vector).
+    """
     den = 1
     for x in vec:
-        if isinstance(x, Fraction):
-            den = den * x.denominator // math.gcd(den, x.denominator)
+        d = x.denominator
+        if d != 1:
+            den = den * d // math.gcd(den, d)
     if den == 1:
-        return _strip_content([int(x) for x in vec])
-    return _strip_content([int(x * den) for x in vec])
+        row = [x.numerator for x in vec]
+    else:
+        row = [x.numerator * (den // x.denominator) for x in vec]
+    row, content = _strip_content(row)
+    return row, den, content
+
+
+def _insert(rows: list[tuple], item: tuple) -> None:
+    """Insert a (lead, ...) row into rows kept sorted by their distinct leads."""
+    bisect.insort(rows, item, key=itemgetter(0))
 
 
 class RowBasis:
@@ -224,26 +244,20 @@ class RowBasis:
                 if f:
                     row = [(a - f * b) % p for a, b in zip(row, stored)]
         else:
-            row = _to_integer_row(vec)
+            row = _to_integer_row(vec)[0]
             for col, stored in self._rows:
                 f = row[col]
                 if f:
                     piv = stored[col]
-                    row = _strip_content([piv * a - f * b for a, b in zip(row, stored)])
+                    row = _strip_content([piv * a - f * b for a, b in zip(row, stored)])[0]
         lead = next((i for i, x in enumerate(row) if x), None)
         if lead is None:
             return False
         if p:
             inv = pow(row[lead], -1, p)
             row = [inv * x % p for x in row]
-        self._insert(lead, row)
+        _insert(self._rows, (lead, row))
         return True
-
-    def _insert(self, lead: int, row: list) -> None:
-        pos = 0
-        while pos < len(self._rows) and self._rows[pos][0] < lead:
-            pos += 1
-        self._rows.insert(pos, (lead, row))
 
 
 class TrackingRowBasis:
@@ -254,6 +268,13 @@ class TrackingRowBasis:
     tag itself) that sums to zero; independent rows return None.  This is
     what turns the degreewise section matrices into explicit relation
     polynomials.
+
+    In characteristic 0 a stored row is an integer vector and its
+    expression is a pair (num, den): a dict tag -> int and one positive
+    int, the expression being num/den.  Elimination updates both over the
+    integers and cancels their common gcd, so ``Fraction``s are built only
+    for a returned combination.  In characteristic p the expression is a
+    dict tag -> residue.
     """
 
     __slots__ = ("field", "width", "_rows")
@@ -261,7 +282,7 @@ class TrackingRowBasis:
     def __init__(self, field: FieldSpec, width: int):
         self.field = field
         self.width = width
-        self._rows: list[tuple[int, list, dict]] = []  # (pivot col, row, expr)
+        self._rows: list[tuple[int, list, object]] = []  # (pivot col, row, expr), sorted
 
     @property
     def rank(self) -> int:
@@ -285,37 +306,30 @@ class TrackingRowBasis:
             row = [inv * x % p for x in row]
             expr = {t: inv * c % p for t, c in expr.items() if c}
         else:
-            row = _to_integer_row(vec)
-            scale = Fraction(1)
-            for x, y in zip(row, vec):
-                if x:
-                    scale = Fraction(x) / Fraction(y)
-                    break
-            expr = {tag: scale}  # row == scale * vec
-            for col, stored, sexpr in self._rows:
+            row, scale, den = _to_integer_row(vec)
+            num = {tag: scale}  # row == vec * scale/den
+            for col, stored, (snum, sden) in self._rows:
                 f = row[col]
                 if f:
                     piv = stored[col]
-                    new_row = [piv * a - f * b for a, b in zip(row, stored)]
-                    stripped = _strip_content(new_row)
-                    factor = 1
-                    for a, b in zip(new_row, stripped):
-                        if b:
-                            factor = a // b
-                            break
-                    row = stripped
-                    inv_factor = Fraction(1, factor)
-                    expr = {
-                        t: (piv * expr.get(t, Fraction(0)) - f * sexpr.get(t, Fraction(0)))
-                        * inv_factor
-                        for t in set(expr) | set(sexpr)
+                    row, factor = _strip_content([piv * a - f * b for a, b in zip(row, stored)])
+                    g = math.gcd(den, sden)
+                    mine, theirs = piv * (sden // g), f * (den // g)
+                    den *= (sden // g) * factor
+                    num = {
+                        t: c
+                        for t in num | snum
+                        if (c := mine * num.get(t, 0) - theirs * snum.get(t, 0))
                     }
-                    expr = {t: c for t, c in expr.items() if c}
+                    g = math.gcd(den, *num.values())
+                    if g > 1:
+                        den //= g
+                        num = {t: c // g for t, c in num.items()}
             lead = next((i for i, x in enumerate(row) if x), None)
             if lead is None:
-                return expr
-        self._rows.append((lead, row, expr))
-        self._rows.sort(key=lambda item: item[0])
+                return {t: Fraction(c, den) for t, c in num.items()}
+            expr = (num, den)
+        _insert(self._rows, (lead, row, expr))
         return None
 
 

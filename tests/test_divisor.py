@@ -156,6 +156,8 @@ class TestJson:
             {"points": [True, 0], "alphas": ["1/2", "1/3"]},
             {"points": ["0", "1"], "alphas": [True, "1/3"]},
             {"points": ["0"], "alphas": ["1/2"], "char": True},
+            {"points": "01", "alphas": ["1/2", "1/3"]},
+            {"points": {"0": 1, "1": 2}, "alphas": "12"},
         ],
     )
     def test_rejects_malformed_entries(self, obj):

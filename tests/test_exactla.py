@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,87 @@ GF7 = FieldSpec(7)
 
 def qmat(rows):
     return ExactMatrix.from_rational_rows(QQ, rows)
+
+
+def _content_free(row):
+    g = math.gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+class _FractionTracker:
+    """The characteristic-0 ``TrackingRowBasis.add`` with ``Fraction``
+    expressions, kept as the reference for the fraction-free one: integer
+    rows, content stripped after each step, and each row's expression
+    divided by the content removed from the row."""
+
+    def __init__(self):
+        self.rows = []
+
+    def add(self, vec, tag):
+        den = math.lcm(*(Fraction(x).denominator for x in vec))
+        row = _content_free([int(x * den) for x in vec])
+        scale = Fraction(1)
+        for x, y in zip(row, vec):
+            if x:
+                scale = Fraction(x) / Fraction(y)
+                break
+        expr = {tag: scale}  # row == scale * vec
+        for col, stored, sexpr in self.rows:
+            f = row[col]
+            if f:
+                piv = stored[col]
+                new_row = [piv * a - f * b for a, b in zip(row, stored)]
+                stripped = _content_free(new_row)
+                factor = 1
+                for a, b in zip(new_row, stripped):
+                    if b:
+                        factor = a // b
+                        break
+                row = stripped
+                expr = {
+                    t: (piv * expr.get(t, Fraction(0)) - f * sexpr.get(t, Fraction(0)))
+                    * Fraction(1, factor)
+                    for t in set(expr) | set(sexpr)
+                }
+                expr = {t: c for t, c in expr.items() if c}
+        lead = next((i for i, x in enumerate(row) if x), None)
+        if lead is None:
+            return expr
+        self.rows.append((lead, row, expr))
+        self.rows.sort(key=lambda item: item[0])
+        return None
+
+
+_qq_entries = st.one_of(
+    st.integers(min_value=-6, max_value=6),
+    st.fractions(min_value=-6, max_value=6, max_denominator=12),
+)
+
+
+@st.composite
+def _qq_sequences(draw):
+    """A width and a list of QQ vectors of that width: random rows with
+    Fraction and int entries, zero vectors, rows with a zero first entry,
+    and combinations of earlier rows (forced dependencies)."""
+    width = draw(st.integers(min_value=1, max_value=5))
+    vecs = []
+    for _ in range(draw(st.integers(min_value=1, max_value=8))):
+        kind = draw(st.sampled_from(["random", "zero", "leading zero", "combination"]))
+        if kind == "zero":
+            vec = [draw(st.sampled_from([0, Fraction(0)]))] * width
+        elif kind == "combination" and vecs:
+            picks = draw(st.lists(st.sampled_from(range(len(vecs))), min_size=1, max_size=3))
+            coeffs = [draw(_qq_entries) for _ in picks]
+            vec = [
+                sum((c * vecs[i][j] for c, i in zip(coeffs, picks)), Fraction(0))
+                for j in range(width)
+            ]
+        else:
+            vec = draw(st.lists(_qq_entries, min_size=width, max_size=width))
+            if kind == "leading zero":
+                vec[0] = 0
+        vecs.append(vec)
+    return width, vecs
 
 
 class TestFieldSpec:
@@ -220,6 +302,26 @@ class TestTrackingRowBasis:
                 assert combo[tag] != 0
                 for col in range(3):
                     assert sum(c * rows[t][col] for t, c in combo.items()) == 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(_qq_sequences())
+    def test_matches_fraction_reference(self, case):
+        width, vecs = case
+        trb, reference = TrackingRowBasis(QQ, width), _FractionTracker()
+        for tag, vec in enumerate(vecs):
+            combo = trb.add(vec, tag)
+            assert combo == reference.add(vec, tag)
+            if combo is not None:
+                assert all(type(c) is Fraction for c in combo.values())
+        assert trb.rank == len(reference.rows)
+
+    def test_zero_vector_and_int_entries(self):
+        trb = TrackingRowBasis(QQ, 2)
+        assert trb.add([0, 0], "z") == {"z": Fraction(1)}
+        assert trb.add([2, 4], "a") is None
+        combo = trb.add([Fraction(1, 3), Fraction(2, 3)], "b")
+        assert combo == {"a": Fraction(-1, 2), "b": Fraction(3)}  # the scales of both rows
+        assert all(type(c) is Fraction for c in combo.values())
 
 
 class TestSparseRowBasis:
