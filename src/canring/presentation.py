@@ -13,6 +13,9 @@ factor (q t - a), whose powers each realization tabulates, and a section
 is one integer product divided once by its denominator prod q_i^(g_i)
 (in GF(p) the factor is (t - p_i), reduced mod p).  Sections therefore
 keep the rational coordinates of the monic factors (t - p_i).
+
+Relations and Groebner leading terms come from one degreewise pass that
+renders only the standard monomials and the new leading terms.
 """
 
 from __future__ import annotations
@@ -403,9 +406,6 @@ class _MonomialEvaluator:
         self._memo[exps] = vec
         return vec
 
-    def exponents_of_degree(self, d: int) -> list[tuple[int, ...]]:
-        return sorted(_weighted_exponents(self.weights, d), key=_word)
-
 
 def _default_rel_bound(D: QDivisor) -> int:
     if D.degree > 0:
@@ -415,27 +415,33 @@ def _default_rel_bound(D: QDivisor) -> int:
     return 1
 
 
-def _graded_pieces(
+def _standard_pass(
     D: QDivisor,
     field: FieldSpec,
     gens: Sequence[GeneratorRecord],
     up_to: int,
-    basis_type: type,
-) -> Iterator[tuple]:
-    """The degreewise pass behind relation_ideal and groebner_leading_terms.
-
-    For d = 2..up_to yields d, the exponent tuples of degree d in ascending
-    word order, the memoized renderer of their sections, and an empty
-    basis_type(field, width) that the caller adds sections to; then checks
-    that the basis spans S_d.  Only the monomials the caller renders are
-    rendered.
+) -> Iterator[tuple[int, int, list[tuple[tuple[int, ...], dict]]]]:
+    """The degreewise pass over the standard monomials (those that are not
+    initial terms) behind relation_ideal and groebner_leading_terms.  The
+    candidates of degree d are x_k s, s standard of degree d - w_k and k at
+    most its first variable, in word order; those that a lower leading term
+    divides are skipped unrendered, the rest go to one TrackingRowBasis.
+    Yields d, dim I_d = #monomials(d) - dim S_d and the new (leading term,
+    relation) pairs of each degree that has any.
     """
     real = _Realization(D, field)
     ev = _MonomialEvaluator(real, gens)
+    count = [1] + [0] * up_to  # monomials of each degree (coin change)
+    for w in ev.weights:
+        for d in range(w, up_to + 1):
+            count[d] += count[d - w]
+    zero = (0,) * len(gens)
+    units = [zero[:k] + (1,) + zero[k + 1 :] for k, w in enumerate(ev.weights) if w == 1]
+    standard = {0: [zero], 1: units}  # by degree, in word order
+    known = {zero, *units}
     for d in range(2, up_to + 1):
-        exps = ev.exponents_of_degree(d)
         dim = real.dim(d)
-        if not exps:
+        if not count[d]:
             if dim > 0:
                 raise GenerationError(
                     f"no generator monomials reach degree {d} but dim S_{d} = {dim}"
@@ -443,12 +449,28 @@ def _graded_pieces(
             continue
         if dim <= 0:
             raise AssertionError("monomials exist in a zero graded piece")
-        basis = basis_type(field, real.r(d) + 1)
-        yield d, exps, ev.section, basis
-        if basis.rank != dim:
+        tracker = TrackingRowBasis(field, real.r(d) + 1)
+        standard[d], new = [], []
+        for k, w in enumerate(ev.weights):
+            for s in standard.get(d - w, ()):
+                e = s[:k] + (s[k] + 1,) + s[k + 1 :]
+                if any(s[:k]) or any(
+                    x and e[:j] + (x - 1,) + e[j + 1 :] not in known
+                    for j, x in enumerate(e[k + 1 :], k + 1)
+                ):
+                    continue
+                combo = tracker.add(ev.section(e), e)
+                if combo is None:
+                    standard[d].append(e)
+                    known.add(e)
+                else:
+                    new.append((e, combo))
+        if tracker.rank != dim:
             raise GenerationError(
-                f"generators span only {basis.rank} of {dim} dimensions in degree {d}"
+                f"generators span only {tracker.rank} of {dim} dimensions in degree {d}"
             )
+        if new:
+            yield d, count[d] - dim, new
 
 
 def relation_ideal(
@@ -460,51 +482,41 @@ def relation_ideal(
     """Minimal generating set of the relation ideal through degree up_to
     (default: the certified relation-degree bound).
 
-    Degree by degree the monomials in the generators are evaluated as
-    sections; the kernel combinations extracted during elimination form a
-    basis of the degree-d relations, and a sparse quotient against the
-    shifts of lower-degree relations (graded Nakayama) keeps exactly the
-    minimal ones.  Raises GenerationError if the generators fail the
-    dimension (Hilbert series) check at any degree.
+    The pass over the standard monomials gives one relation g_e per new
+    leading term e.  At e the tracker's rows are exactly the standard
+    monomials below e, as under full elimination, so g_e is unchanged,
+    scale included.  The word order is multiplicative within a degree, so a
+    relation whose leading term is a multiple of a lower one lies in (mI)_d
+    (m the ideal of the generators) plus the g_e below it, and is never
+    emitted.  Graded Nakayama runs only in degrees with new leading terms,
+    seeded with the shifts x^a g (a != 0) of the lower g_e, which span
+    (mI)_d, until its rank reaches dim I_d.  Raises GenerationError if the
+    generators fail the dimension (Hilbert series) check at any degree.
     """
     if up_to is None:
         up_to = _default_rel_bound(D)
-    kernels: dict[int, list[dict]] = {}
+    weights = [g.degree for g in gens]
+    lower: dict[int, list[dict]] = {}  # the relations g_e by degree
     minimal: list[RelationPoly] = []
-    for d, exps, section, tracker in _graded_pieces(D, field, gens, up_to, TrackingRowBasis):
-        found: list[dict] = []
-        for e in exps:
-            combo = tracker.add(section(e), e)
-            if combo is not None:
-                found.append(combo)
-        if not found:
-            continue
-        # graded Nakayama: quotient the degree-d kernel by the shifts of
-        # lower-degree relations; shifts lie inside the kernel, so seeding
-        # may stop once the quotient is saturated.
-        target = len(found)
+    for d, target, new in _standard_pass(D, field, gens, up_to):
         nakayama = SparseRowBasis(field)
-        saturated = False
-        for k, g in enumerate(gens):
-            lower = kernels.get(d - g.degree)
-            if not lower:
-                continue
-            for vec in lower:
-                shifted = {
-                    e[:k] + (e[k] + 1,) + e[k + 1 :]: coeff for e, coeff in vec.items()
-                }
-                nakayama.add(shifted)
-                if nakayama.rank == target:
-                    saturated = True
-                    break
-            if saturated:
-                break
-        if not saturated:
-            for vec in found:
+        shifts = [
+            {tuple([x + y for x, y in zip(e, a)]): c for e, c in g.items()}
+            for d0, rels in lower.items()
+            for a in _weighted_exponents(weights, d - d0)
+            for g in rels
+        ]
+        shifts.sort(key=min, reverse=True)  # pivots descending: far less fill-in
+        for vec in shifts:
+            nakayama.add(vec)
+            if nakayama.rank == target:
+                break  # (mI)_d is all of I_d
+        else:
+            for _, vec in new:
                 if nakayama.add(vec):
                     terms = tuple(sorted(vec.items(), key=lambda t: _word(t[0])))
                     minimal.append(RelationPoly(d, terms))
-        kernels[d] = found
+        lower[d] = [vec for _, vec in new]
     return minimal
 
 
@@ -524,28 +536,15 @@ def groebner_leading_terms(
     up_to: Optional[int] = None,
 ) -> GroebnerReport:
     """Degreewise initial-ideal computation under the dictionary word order
-    on generator monomials.
-
-    In each degree the monomials are added to a row basis in ascending
-    order; a monomial whose section does not enlarge the span is the
-    initial term of a relation.  The word order is multiplicative within a
-    degree, so a multiple of an initial term is again one: it is skipped,
-    neither rendered nor added.  A skipped section lies in the span of the
-    sections below it, so by induction the standard monomials below e span
-    what all monomials below e span, and every monomial that is added is
-    judged as if all were.  The initial terms found are those that no
-    lower-degree initial term divides: exactly the divisibility-minimal
+    on generator monomials: the new leading terms of the pass over the
+    standard monomials.  A multiple of a leading term is one again, and its
+    section lies in the span of those below it, so skipping it unrendered
+    changes no judgement.  The terms found are the divisibility-minimal
     ones up to the truncation degree.
     """
     if up_to is None:
         up_to = _default_rel_bound(D)
-    leading: list[tuple[int, ...]] = []
-    for _, exps, section, span in _graded_pieces(D, field, gens, up_to, RowBasis):
-        for e in exps:
-            if any(all(a <= x for a, x in zip(lt, e)) for lt in leading):
-                continue
-            if not span.add(section(e)):
-                leading.append(e)
+    leading = [e for _, _, new in _standard_pass(D, field, gens, up_to) for e, _ in new]
     leading.sort(key=_word)
     return GroebnerReport(
         order="revlex (dictionary word order on generator monomials)",

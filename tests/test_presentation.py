@@ -15,8 +15,16 @@ from canring.errors import (
     PointCollisionError,
     UnsupportedDivisorError,
 )
-from canring.exactla import ExactMatrix, FieldSpec, RowBasis, rank
+from canring.exactla import (
+    ExactMatrix,
+    FieldSpec,
+    RowBasis,
+    SparseRowBasis,
+    TrackingRowBasis,
+    rank,
+)
 from canring.presentation import (
+    RelationPoly,
     _MonomialEvaluator,
     _Realization,
     _word,
@@ -270,6 +278,95 @@ class TestMinimalGenerators:
         assert gen_degrees(gens) == [6, 10]
 
 
+def word_cmp(e1, e2):
+    """Dictionary comparison of the words x_1^{e[0]} x_2^{e[1]} ..., a proper
+    prefix first, read off the exponents."""
+    for v in range(len(e1)):
+        a, b = e1[v], e2[v]
+        if a == b:
+            continue
+        if a < b:
+            return -1 if not any(e1[v + 1 :]) else 1
+        return 1 if not any(e2[v + 1 :]) else -1
+    return 0
+
+
+word_key = functools.cmp_to_key(word_cmp)
+
+
+def monomials_of_degree(weights, d):
+    """Every exponent tuple of weighted degree d, in word order."""
+    exps = [
+        e
+        for e in itertools.product(*(range(d // w + 1) for w in weights))
+        if sum(x * w for x, w in zip(e, weights)) == d
+    ]
+    return sorted(exps, key=word_key)
+
+
+def reference_leading_terms(D, field, gens, up_to):
+    """Every monomial of every degree through a RowBasis in word order; the
+    hits filtered to the divisibility-minimal ones."""
+    real = _Realization(D, field)
+    ev = _MonomialEvaluator(real, gens)
+    weights = [g.degree for g in gens]
+    hits = []
+    for d in range(2, up_to + 1):
+        span = RowBasis(field, real.r(d) + 1)
+        for e in monomials_of_degree(weights, d):
+            if not span.add(ev.section(e)):
+                hits.append(e)
+    minimal = [
+        e
+        for e in hits
+        if not any(o != e and all(a <= b for a, b in zip(o, e)) for o in hits)
+    ]
+    return tuple(sorted(minimal, key=word_key))
+
+
+def reference_relations(D, field, gens, up_to):
+    """Full elimination: every monomial of every degree through one
+    TrackingRowBasis in word order, each kernel vector kept, and graded
+    Nakayama against the x_k shifts of the full lower-degree kernels."""
+    real = _Realization(D, field)
+    ev = _MonomialEvaluator(real, gens)
+    weights = [g.degree for g in gens]
+    kernels = {}
+    minimal = []
+    for d in range(2, up_to + 1):
+        tracker = TrackingRowBasis(field, real.r(d) + 1)
+        found = []
+        for e in monomials_of_degree(weights, d):
+            combo = tracker.add(ev.section(e), e)
+            if combo is not None:
+                found.append(combo)
+        kernels[d] = found
+        nakayama = SparseRowBasis(field)
+        for k, w in enumerate(weights):
+            for vec in kernels.get(d - w, []):
+                nakayama.add({e[:k] + (e[k] + 1,) + e[k + 1 :]: c for e, c in vec.items()})
+        for vec in found:
+            if nakayama.add(vec):
+                terms = tuple(sorted(vec.items(), key=lambda t: word_key(t[0])))
+                minimal.append(RelationPoly(d, terms))
+    return minimal
+
+
+def criterion_09_window(D):
+    if D.degree < 0:
+        return 8
+    if D.degree == 0:
+        return denominator_data(D).ell + 2
+    return min(degree_bounds(D)[1], 15)
+
+
+_CRITERION_09_ALPHAS = st.lists(
+    st.builds(Fraction, st.integers(-2, 2), st.integers(1, 4)),
+    min_size=1,
+    max_size=3,
+).filter(lambda a: sum(a) <= 1)
+
+
 class TestRelations:
     def test_235_single_relation(self):
         gens = minimal_generators(D235, QQ)
@@ -312,58 +409,34 @@ class TestRelations:
         with pytest.raises(GenerationError):
             consumer(D235, QQ, gens, up_to=35)
 
+    @settings(max_examples=60, deadline=None)
+    @given(alphas=_CRITERION_09_ALPHAS, field=st.sampled_from([QQ, GF7, GFBIG]))
+    def test_matches_full_elimination(self, alphas, field):
+        # the criterion-09 oracle ranges and windows
+        D = QDivisor.of(range(len(alphas)), alphas)
+        window = criterion_09_window(D)
+        gens = minimal_generators(D, field, up_to=window)
+        rels = relation_ideal(D, field, gens, window)
+        assert rels == reference_relations(D, field, gens, window)
+        for rel in rels:
+            assert relation_evaluates_to_zero(D, field, gens, rel)
 
-def word_cmp(e1, e2):
-    """Dictionary comparison of the words x_1^{e[0]} x_2^{e[1]} ..., a proper
-    prefix first, read off the exponents."""
-    for v in range(len(e1)):
-        a, b = e1[v], e2[v]
-        if a == b:
-            continue
-        if a < b:
-            return -1 if not any(e1[v + 1 :]) else 1
-        return 1 if not any(e2[v + 1 :]) else -1
-    return 0
+    @pytest.mark.parametrize("field", [QQ, GFBIG])
+    def test_tracks_standard_monomials_and_leading_terms_only(self, field, monkeypatch):
+        gens = minimal_generators(CHORDS, field)
+        leading = groebner_leading_terms(CHORDS, field, gens, up_to=120).leading_terms
+        real = _Realization(CHORDS, field)
+        standard = sum(real.dim(d) for d in range(2, 121))
+        calls = []
+        add = TrackingRowBasis.add
 
+        def counted(self, vec, tag):
+            calls.append(tag)
+            return add(self, vec, tag)
 
-def reference_leading_terms(D, field, gens, up_to):
-    """Every monomial of every degree through a RowBasis in word order; the
-    hits filtered to the divisibility-minimal ones."""
-    real = _Realization(D, field)
-    ev = _MonomialEvaluator(real, gens)
-    weights = [g.degree for g in gens]
-    hits = []
-    for d in range(2, up_to + 1):
-        exps = [
-            e
-            for e in itertools.product(*(range(d // w + 1) for w in weights))
-            if sum(x * w for x, w in zip(e, weights)) == d
-        ]
-        span = RowBasis(field, real.r(d) + 1)
-        for e in sorted(exps, key=functools.cmp_to_key(word_cmp)):
-            if not span.add(ev.section(e)):
-                hits.append(e)
-    minimal = [
-        e
-        for e in hits
-        if not any(o != e and all(a <= b for a, b in zip(o, e)) for o in hits)
-    ]
-    return tuple(sorted(minimal, key=functools.cmp_to_key(word_cmp)))
-
-
-def criterion_09_window(D):
-    if D.degree < 0:
-        return 8
-    if D.degree == 0:
-        return denominator_data(D).ell + 2
-    return min(degree_bounds(D)[1], 15)
-
-
-_CRITERION_09_ALPHAS = st.lists(
-    st.builds(Fraction, st.integers(-2, 2), st.integers(1, 4)),
-    min_size=1,
-    max_size=3,
-).filter(lambda a: sum(a) <= 1)
+        monkeypatch.setattr(TrackingRowBasis, "add", counted)
+        relation_ideal(CHORDS, field, gens, up_to=120)
+        assert len(calls) == standard + len(leading)
 
 
 class TestGroebner:
@@ -413,13 +486,12 @@ class TestGroebner:
         assert len(report.leading_terms) == len(degrees)
         # cross-check against an independent full row reduction per degree
         from canring.exactla import row_reduce
-        from canring.presentation import _MonomialEvaluator
 
         real = _Realization(D, QQ)
         ev = _MonomialEvaluator(real, gens)
         brute_hits = []
         for d in range(2, 9):
-            exps = ev.exponents_of_degree(d)
+            exps = monomials_of_degree(weights, d)
             if not exps:
                 continue
             rows = []
