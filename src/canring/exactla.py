@@ -6,8 +6,11 @@ ints in [0, p) in characteristic p.  The incremental ``RowBasis`` and
 vectors so elimination never leaves the integers; ``TrackingRowBasis``
 keeps each row's expression in the added rows fraction-free too, as an
 integer dict over one carried denominator, and builds ``Fraction``s only
-for the combinations it returns.  The one-shot ``row_reduce`` returns the
-usual normalized reduced echelon form.
+for the combinations it returns.  The one-shot ``row_reduce`` and ``rank``
+eliminate fraction-free as well, over content-stripped integer rows in
+characteristic 0; ``row_reduce`` builds the ``Fraction``s of the usual
+normalized reduced echelon form once, at the end, and ``rank`` clears
+only below each pivot.
 """
 
 from __future__ import annotations
@@ -99,9 +102,6 @@ class FieldSpec:
             return pow(a, -1, self.characteristic)
         return Fraction(1) / a  # exact for int input as well
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def __str__(self) -> str:
         return "QQ" if self.characteristic == 0 else f"GF({self.characteristic})"
 
@@ -136,50 +136,6 @@ class ExactMatrix:
         return f"ExactMatrix({self.field}, {self.nrows}x{self.ncols})"
 
 
-def row_reduce(m: ExactMatrix) -> tuple[ExactMatrix, list[int]]:
-    """Reduced row echelon form and the pivot columns, in increasing order."""
-    field = m.field
-    rows = [list(r) for r in m.rows]
-    pivots: list[int] = []
-    r = 0
-    for col in range(m.ncols):
-        pivot_row = next((i for i in range(r, len(rows)) if rows[i][col]), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = field.inv(rows[r][col])
-        rows[r] = [field.mul(inv, x) for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [field.sub(a, field.mul(f, b)) for a, b in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(rows):
-            break
-    return ExactMatrix(field, rows, m.ncols), pivots
-
-
-def rank(m: ExactMatrix) -> int:
-    return len(row_reduce(m)[1])
-
-
-def kernel_basis(m: ExactMatrix) -> list[list]:
-    """Basis of the right kernel; empty when the matrix is injective."""
-    field = m.field
-    rref, pivots = row_reduce(m)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(m.ncols) if c not in pivot_set]
-    basis = []
-    for f in free_cols:
-        vec = [field.zero] * m.ncols
-        vec[f] = field.one
-        for i, c in enumerate(pivots):
-            vec[c] = field.neg(rref.rows[i][f])
-        basis.append(vec)
-    return basis
-
-
 def _strip_content(row: list[int]) -> tuple[list[int], int]:
     """The row divided by its content, and that content (1 for a zero row)."""
     g = 0
@@ -209,6 +165,79 @@ def _to_integer_row(vec: Sequence) -> tuple[list[int], int, int]:
         row = [x.numerator * (den // x.denominator) for x in vec]
     row, content = _strip_content(row)
     return row, den, content
+
+
+def _echelon(m: ExactMatrix, reduced: bool) -> tuple[list[list[int]], list[int]]:
+    """Echelon rows and pivot columns of m, all zero rows at the bottom.
+
+    QQ rows are content-stripped integer rows, eliminated fraction-free:
+    row <- (piv/g) * row - (f/g) * pivot row with g = gcd(piv, f), then
+    stripped of content.  GF(p) entries are reduced mod p on entry and
+    pivot rows normalized.  ``reduced`` clears above each pivot as well
+    (Gauss-Jordan); otherwise only the rows below are cleared.
+    """
+    p = m.field.characteristic
+    if p:
+        rows = [[int(x) % p for x in r] for r in m.rows]
+    else:
+        rows = [_to_integer_row(r)[0] for r in m.rows]
+    pivots: list[int] = []
+    r = 0
+    for col in range(m.ncols):
+        if r == len(rows):
+            break
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        prow = rows[r]
+        piv = prow[col]
+        if p:
+            inv = pow(piv, -1, p)
+            prow = rows[r] = [inv * x % p for x in prow]
+        for i in range(0 if reduced else r + 1, len(rows)):
+            f = rows[i][col]
+            if i == r or not f:
+                continue
+            if p:
+                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], prow)]
+            else:
+                g = math.gcd(piv, f)
+                mine, theirs = piv // g, f // g
+                rows[i] = _strip_content([mine * a - theirs * b for a, b in zip(rows[i], prow)])[0]
+        pivots.append(col)
+        r += 1
+    return rows, pivots
+
+
+def row_reduce(m: ExactMatrix) -> tuple[ExactMatrix, list[int]]:
+    """Reduced row echelon form and the pivot columns, in increasing order."""
+    rows, pivots = _echelon(m, reduced=True)
+    if not m.field.characteristic:
+        rows = [
+            [Fraction(x, row[col]) for x in row] for row, col in zip(rows, pivots)
+        ] + [[Fraction(0)] * m.ncols for _ in rows[len(pivots):]]
+    return ExactMatrix(m.field, rows, m.ncols), pivots
+
+
+def rank(m: ExactMatrix) -> int:
+    return len(_echelon(m, reduced=False)[1])
+
+
+def kernel_basis(m: ExactMatrix) -> list[list]:
+    """Basis of the right kernel; empty when the matrix is injective."""
+    field = m.field
+    rref, pivots = row_reduce(m)
+    pivot_set = set(pivots)
+    free_cols = [c for c in range(m.ncols) if c not in pivot_set]
+    basis = []
+    for f in free_cols:
+        vec = [field.zero] * m.ncols
+        vec[f] = field.one
+        for i, c in enumerate(pivots):
+            vec[c] = field.neg(rref.rows[i][f])
+        basis.append(vec)
+    return basis
 
 
 def _insert(rows: list[tuple], item: tuple) -> None:

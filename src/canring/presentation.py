@@ -741,9 +741,10 @@ def brute_force_oracle(
 
     weights = [d for d, _ in gens]
     rel_degrees: list[int] = []
+    monomials: dict[int, list[tuple]] = {}
     kernels: dict[int, list[list]] = {}
     for d in range(2, up_to + 1):
-        exps = sorted(_weighted_exponents(weights, d))
+        exps = monomials[d] = sorted(_weighted_exponents(weights, d))
         if not exps:
             continue
         sections = {}
@@ -768,9 +769,8 @@ def brute_force_oracle(
         index = {e: i for i, e in enumerate(exps)}
         for k, (gd, _) in enumerate(gens):
             for vec in kernels.get(d - gd, []):
-                lower_exps = sorted(_weighted_exponents(weights, d - gd))
                 row = [field.zero] * len(exps)
-                for coeff, le in zip(vec, lower_exps):
+                for coeff, le in zip(vec, monomials[d - gd]):
                     if coeff:
                         target = le[:k] + (le[k] + 1,) + le[k + 1 :]
                         row[index[target]] = field.add(row[index[target]], coeff)

@@ -20,6 +20,7 @@ from canring.exactla import (
 QQ = FieldSpec(0)
 GF2 = FieldSpec(2)
 GF7 = FieldSpec(7)
+GF_M61 = FieldSpec((1 << 61) - 1)
 
 
 def qmat(rows):
@@ -107,6 +108,86 @@ def _qq_sequences(draw):
     return width, vecs
 
 
+def _reference_row_reduce(m):
+    """Dense Gauss-Jordan with ``Fraction``/``FieldSpec`` arithmetic on every
+    entry, kept as the reference for the fraction-free ``row_reduce``."""
+    field = m.field
+    rows = [list(r) for r in m.rows]
+    pivots = []
+    r = 0
+    for col in range(m.ncols):
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = field.inv(rows[r][col])
+        rows[r] = [field.mul(inv, x) for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [field.sub(a, field.mul(f, b)) for a, b in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
+def _reference_kernel(field, ncols, rows, pivots):
+    basis = []
+    for free in sorted(set(range(ncols)) - set(pivots)):
+        vec = [field.zero] * ncols
+        vec[free] = field.one
+        for i, c in enumerate(pivots):
+            vec[c] = field.neg(rows[i][free])
+        basis.append(vec)
+    return basis
+
+
+@st.composite
+def _matrices(draw):
+    """A matrix over QQ (Fraction and int entries) or GF(2), GF(7),
+    GF(2^61 - 1) (reduced residues): random rows, zero rows, repeated rows
+    and combinations of earlier rows, in tall, wide and empty-row shapes."""
+    field = draw(st.sampled_from([QQ, GF2, GF7, GF_M61]))
+    p = field.characteristic
+    if p:
+        entries = st.one_of(st.integers(0, min(p - 1, 6)), st.integers(0, p - 1))
+    else:
+        entries = _qq_entries
+    ncols = draw(st.integers(min_value=1, max_value=6))
+    rows = []
+    for _ in range(draw(st.integers(min_value=0, max_value=8))):
+        kind = draw(st.sampled_from(["random", "zero", "repeat", "combination"]))
+        if kind == "zero":
+            row = [draw(st.sampled_from([0] if p else [0, Fraction(0)]))] * ncols
+        elif kind == "repeat" and rows:
+            row = list(rows[draw(st.integers(0, len(rows) - 1))])
+        elif kind == "combination" and rows:
+            picks = draw(st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=3))
+            coeffs = [draw(entries) for _ in picks]
+            row = [
+                sum((c * rows[i][j] for c, i in zip(coeffs, picks)), field.zero)
+                for j in range(ncols)
+            ]
+            if p:
+                row = [x % p for x in row]
+        else:
+            row = draw(st.lists(entries, min_size=ncols, max_size=ncols))
+        rows.append(row)
+    return ExactMatrix(field, rows, ncols)
+
+
+def _assert_field_entries(field, rows):
+    p = field.characteristic
+    for row in rows:
+        for x in row:
+            if p:
+                assert type(x) is int and 0 <= x < p
+            else:
+                assert type(x) is Fraction
+
+
 class TestFieldSpec:
     def test_rejects_composite(self):
         with pytest.raises(CanringError):
@@ -126,7 +207,7 @@ class TestFieldSpec:
             GF2.of(Fraction(1, 2))
 
     def test_arithmetic_mod_p(self):
-        assert GF7.div(GF7.one, 3) == 5
+        assert GF7.mul(GF7.one, GF7.inv(3)) == 5
         assert GF7.sub(2, 5) == 4
 
     def test_int_input_stays_exact_over_qq(self):
@@ -159,6 +240,27 @@ class TestRowReduce:
         rows = [[1, 0, 0], [0, 0, 1], [1, -2, 1]]
         assert rank(ExactMatrix.from_rational_rows(QQ, rows)) == 3
         assert rank(ExactMatrix.from_rational_rows(GF2, rows)) == 2
+
+    @settings(max_examples=300, deadline=None)
+    @given(_matrices())
+    def test_matches_fraction_reference(self, m):
+        ref_rows, ref_pivots = _reference_row_reduce(m)
+        rref, pivots = row_reduce(m)
+        assert pivots == ref_pivots
+        assert rref.rows == ref_rows
+        assert (rref.nrows, rref.ncols) == (m.nrows, m.ncols)
+        assert rank(m) == len(ref_pivots)
+        kernel = kernel_basis(m)
+        assert kernel == _reference_kernel(m.field, m.ncols, ref_rows, ref_pivots)
+        _assert_field_entries(m.field, rref.rows)
+        _assert_field_entries(m.field, kernel)
+
+    def test_unreduced_residues(self):
+        # 7 and 14 are zero in GF(7): neither may be taken as a pivot
+        m = ExactMatrix(GF7, [[7, 14]])
+        assert rank(m) == 0
+        assert row_reduce(m)[1] == []
+        assert kernel_basis(m) == [[1, 0], [0, 1]]
 
     def test_idempotent(self):
         m = qmat([[2, 4, 1], [1, 2, 3], [0, 1, 1]])
