@@ -274,6 +274,8 @@ def cmd_oracle(args) -> int:
         window = args.max_degree
     else:
         window = degree_bounds(D)[1] if D.degree > 0 else 10
+    if window < 2:
+        raise CanringError(f"an oracle window of {window} compares no degree; it must be 2 or more")
     gens = minimal_generators(D, field, min(window, degree_bounds(D)[0]) if D.degree > 0 else window)
     engine = (
         sorted(g.degree for g in gens),

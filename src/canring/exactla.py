@@ -1,16 +1,12 @@
 """Exact linear algebra over the rationals and over prime fields.
 
 Matrix entries are ``fractions.Fraction`` in characteristic 0 and plain
-ints in [0, p) in characteristic p.  The incremental ``RowBasis`` and
-``TrackingRowBasis`` keep characteristic-0 rows as content-stripped integer
-vectors so elimination never leaves the integers; ``TrackingRowBasis``
-keeps each row's expression in the added rows fraction-free too, as an
-integer dict over one carried denominator, and builds ``Fraction``s only
-for the combinations it returns.  The one-shot ``row_reduce`` and ``rank``
-eliminate fraction-free as well, over content-stripped integer rows in
-characteristic 0; ``row_reduce`` builds the ``Fraction``s of the usual
-normalized reduced echelon form once, at the end, and ``rank`` clears
-only below each pivot.
+ints in [0, p) in characteristic p.  Characteristic-0 elimination is
+fraction-free, over content-stripped integer rows.  ``RowBasis`` owns the
+one incremental elimination loop; ``TrackingRowBasis`` logs its steps and
+replays row expressions only for a dependent row's combination.  The
+one-shot ``row_reduce`` builds ``Fraction``s once, at the end, and
+``rank`` clears only below each pivot.
 """
 
 from __future__ import annotations
@@ -19,7 +15,7 @@ import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
+from operator import index, itemgetter
 from typing import Optional, Sequence
 
 from .errors import CanringError
@@ -178,7 +174,7 @@ def _echelon(m: ExactMatrix, reduced: bool) -> tuple[list[list[int]], list[int]]
     """
     p = m.field.characteristic
     if p:
-        rows = [[int(x) % p for x in r] for r in m.rows]
+        rows = [[index(x) % p for x in r] for r in m.rows]
     else:
         rows = [_to_integer_row(r)[0] for r in m.rows]
     pivots: list[int] = []
@@ -240,17 +236,13 @@ def kernel_basis(m: ExactMatrix) -> list[list]:
     return basis
 
 
-def _insert(rows: list[tuple], item: tuple) -> None:
-    """Insert a (lead, ...) row into rows kept sorted by their distinct leads."""
-    bisect.insort(rows, item, key=itemgetter(0))
-
-
 class RowBasis:
     """Incremental row-span tracker (forward elimination only).
 
-    Characteristic 0 keeps integer rows and eliminates fraction-free with
-    content stripping; prime characteristic keeps pivot-normalized residue
-    rows.  ``add`` reports whether the vector enlarged the span.
+    Characteristic 0 keeps content-stripped integer rows, row <- piv * row
+    - f * stored; prime characteristic keeps pivot-normalized residue rows,
+    row <- row - f * stored.  Stored rows never change.  ``add`` reports
+    whether the vector enlarged the span.
     """
 
     __slots__ = ("field", "width", "_rows")
@@ -265,101 +257,108 @@ class RowBasis:
         return len(self._rows)
 
     def add(self, vec: Sequence) -> bool:
+        return self._eliminate(vec, None)[0] is not None
+
+    def _eliminate(self, vec: Sequence, steps: Optional[list]) -> tuple[Optional[int], int, int]:
+        """Reduce vec by the stored rows and store the rest if nonzero.
+
+        Returns (lead, scale, den), lead None for a dependent vec.  QQ starts
+        from the integer row vec * scale/den; mod p, den is 1 and scale the
+        inverse pivot the stored row was normalized by (else 1).  Each step
+        is logged to ``steps``, if given, as (col, piv, f, factor): row <-
+        (piv * row - f * stored) / factor.
+        """
         p = self.field.characteristic
         if p:
-            row = [int(x) % p for x in vec]
+            scale = den = 1
+            row = [index(x) % p for x in vec]
             for col, stored in self._rows:
                 f = row[col]
                 if f:
                     row = [(a - f * b) % p for a, b in zip(row, stored)]
-        else:
-            row = _to_integer_row(vec)[0]
-            for col, stored in self._rows:
-                f = row[col]
-                if f:
-                    piv = stored[col]
-                    row = _strip_content([piv * a - f * b for a, b in zip(row, stored)])[0]
-        lead = next((i for i, x in enumerate(row) if x), None)
-        if lead is None:
-            return False
-        if p:
-            inv = pow(row[lead], -1, p)
-            row = [inv * x % p for x in row]
-        _insert(self._rows, (lead, row))
-        return True
-
-
-class TrackingRowBasis:
-    """Row basis that remembers how each pivot is built from the added rows.
-
-    When an added row turns out dependent, ``add`` returns the sparse
-    combination {tag: coeff} over previously added rows (including the new
-    tag itself) that sums to zero; independent rows return None.  This is
-    what turns the degreewise section matrices into explicit relation
-    polynomials.
-
-    In characteristic 0 a stored row is an integer vector and its
-    expression is a pair (num, den): a dict tag -> int and one positive
-    int, the expression being num/den.  Elimination updates both over the
-    integers and cancels their common gcd, so ``Fraction``s are built only
-    for a returned combination.  In characteristic p the expression is a
-    dict tag -> residue.
-    """
-
-    __slots__ = ("field", "width", "_rows")
-
-    def __init__(self, field: FieldSpec, width: int):
-        self.field = field
-        self.width = width
-        self._rows: list[tuple[int, list, object]] = []  # (pivot col, row, expr), sorted
-
-    @property
-    def rank(self) -> int:
-        return len(self._rows)
-
-    def add(self, vec: Sequence, tag) -> Optional[dict]:
-        p = self.field.characteristic
-        if p:
-            row = [int(x) % p for x in vec]
-            expr = {tag: 1}
-            for col, stored, sexpr in self._rows:
-                f = row[col]
-                if f:
-                    row = [(a - f * b) % p for a, b in zip(row, stored)]
-                    for t, c in sexpr.items():
-                        expr[t] = (expr.get(t, 0) - f * c) % p
-            lead = next((i for i, x in enumerate(row) if x), None)
-            if lead is None:
-                return {t: c for t, c in expr.items() if c}
-            inv = pow(row[lead], -1, p)
-            row = [inv * x % p for x in row]
-            expr = {t: inv * c % p for t, c in expr.items() if c}
+                    if steps is not None:
+                        steps.append((col, 1, f, 1))
         else:
             row, scale, den = _to_integer_row(vec)
-            num = {tag: scale}  # row == vec * scale/den
-            for col, stored, (snum, sden) in self._rows:
+            for col, stored in self._rows:
                 f = row[col]
                 if f:
                     piv = stored[col]
                     row, factor = _strip_content([piv * a - f * b for a, b in zip(row, stored)])
-                    g = math.gcd(den, sden)
-                    mine, theirs = piv * (sden // g), f * (den // g)
-                    den *= (sden // g) * factor
-                    num = {
-                        t: c
-                        for t in num | snum
-                        if (c := mine * num.get(t, 0) - theirs * snum.get(t, 0))
-                    }
-                    g = math.gcd(den, *num.values())
-                    if g > 1:
-                        den //= g
-                        num = {t: c // g for t, c in num.items()}
-            lead = next((i for i, x in enumerate(row) if x), None)
-            if lead is None:
-                return {t: Fraction(c, den) for t, c in num.items()}
-            expr = (num, den)
-        _insert(self._rows, (lead, row, expr))
-        return None
+                    if steps is not None:
+                        steps.append((col, piv, f, factor))
+        lead = next((i for i, x in enumerate(row) if x), None)
+        if lead is not None:
+            if p:
+                scale = pow(row[lead], -1, p)
+                row = [scale * x % p for x in row]
+            bisect.insort(self._rows, (lead, row), key=itemgetter(0))
+        return lead, scale, den
+
+
+class TrackingRowBasis(RowBasis):
+    """Row basis that remembers how each pivot is built from the added rows.
+
+    When an added row turns out dependent, ``add`` returns the sparse
+    combination {tag: coeff} over previously added rows (including the new
+    tag itself) that sums to zero; independent rows return None.
+
+    Each stored row keeps its origin: its tag, scale, den and logged steps.
+    A dependent add replays the pending origins in storage order, which
+    works because a row's steps name only rows stored before it, and then
+    its own steps.  Stored rows never change, so a late replay gives the
+    expressions that updating them at every step would.  A QQ expression is (num, den), a dict tag -> int over one
+    positive int, cancelled by their gcd after each step; a GF(p) one is a
+    dict tag -> residue, normalized with its row.
+    """
+
+    __slots__ = ("_pending", "_exprs")
+
+    def __init__(self, field: FieldSpec, width: int):
+        super().__init__(field, width)
+        self._pending: list[tuple] = []  # (pivot col, tag, scale, den, steps), in storage order
+        self._exprs: dict[int, object] = {}  # pivot col -> expression, once replayed
+
+    def add(self, vec: Sequence, tag) -> Optional[dict]:
+        steps: list[tuple[int, int, int, int]] = []
+        lead, scale, den = self._eliminate(vec, steps)
+        if lead is not None:
+            self._pending.append((lead, tag, scale, den, steps))
+            return None
+        for col, *origin in self._pending:
+            self._exprs[col] = self._replay(*origin)
+        self._pending.clear()
+        expr = self._replay(tag, scale, den, steps)
+        if self.field.characteristic:
+            return expr
+        num, den = expr
+        return {t: Fraction(c, den) for t, c in num.items()}
+
+    def _replay(self, tag, scale: int, den: int, steps: list):
+        """The expression of one origin, from those of the rows it names."""
+        p = self.field.characteristic
+        if p:
+            expr = {tag: 1}
+            for col, _, f, _ in steps:
+                for t, c in self._exprs[col].items():
+                    expr[t] = (expr.get(t, 0) - f * c) % p
+            return {t: scale * c % p for t, c in expr.items() if c}
+        num = {tag: scale}  # the row == vec * scale/den
+        for col, piv, f, factor in steps:
+            snum, sden = self._exprs[col]
+            g = math.gcd(den, sden)
+            mine, theirs = piv * (sden // g), f * (den // g)
+            den *= (sden // g) * factor
+            num = {
+                t: c
+                for t in num | snum
+                if (c := mine * num.get(t, 0) - theirs * snum.get(t, 0))
+            }
+            g = math.gcd(den, *num.values())
+            if g > 1:
+                den //= g
+                num = {t: c // g for t, c in num.items()}
+        return num, den
 
 
 class SparseRowBasis:

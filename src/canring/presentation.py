@@ -332,18 +332,15 @@ def minimal_generators(
             zip(real.basis(d), real.basis_sections(d)),
             key=lambda pair: -real.marked_order(pair[0]),
         )
-        picked = []
         for mono, vec in candidates:
             if span.add(vec):
-                picked.append(
+                found.append(
                     GeneratorRecord(d, mono, tuple(vec), real.marked_order(mono))
                 )
                 if span.rank == dim:
                     break
         if span.rank != dim:
             raise AssertionError(f"monomial basis failed to span degree {d}")
-        picked.sort(key=lambda g: -g.order_at_marked_point)
-        found.extend(picked)
     return found
 
 

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from canring.cli import canonical_json, main
 
 
@@ -176,6 +178,17 @@ class TestOracle:
         )
         assert code == 0
         assert out.strip() == "MATCH"
+
+    @pytest.mark.parametrize("window", ["0", "1"])
+    def test_window_that_compares_nothing_is_an_error(self, capsys, window):
+        code, out, err = run(
+            capsys,
+            "oracle", "--alphas", "-1/2,1/3,1/5", "--points", "inf,0,1",
+            "--max-degree", window,
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
 
 
 class TestPlumbing:

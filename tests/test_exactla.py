@@ -145,11 +145,11 @@ def _reference_kernel(field, ncols, rows, pivots):
 
 
 @st.composite
-def _matrices(draw):
+def _matrices(draw, fields=(QQ, GF2, GF7, GF_M61)):
     """A matrix over QQ (Fraction and int entries) or GF(2), GF(7),
     GF(2^61 - 1) (reduced residues): random rows, zero rows, repeated rows
     and combinations of earlier rows, in tall, wide and empty-row shapes."""
-    field = draw(st.sampled_from([QQ, GF2, GF7, GF_M61]))
+    field = draw(st.sampled_from(fields))
     p = field.characteristic
     if p:
         entries = st.one_of(st.integers(0, min(p - 1, 6)), st.integers(0, p - 1))
@@ -348,6 +348,16 @@ class TestRowBasis:
         assert rb.rank == 2
         assert not rb.add([field.of(1), field.of(3), field.of(4)])
 
+    def test_gfp_rejects_non_integral_entries(self):
+        # 1/2 is 4 in GF(7): truncating it to 0 would drop the row
+        half = [Fraction(1, 2)]
+        with pytest.raises(TypeError):
+            rank(ExactMatrix(GF7, [half]))
+        with pytest.raises(TypeError):
+            RowBasis(GF7, 1).add(half)
+        with pytest.raises(TypeError):
+            TrackingRowBasis(GF7, 1).add(half, "a")
+
     def test_fraction_input_char0(self):
         rb = RowBasis(QQ, 2)
         assert rb.add([Fraction(1, 2), Fraction(1, 3)])
@@ -404,6 +414,26 @@ class TestTrackingRowBasis:
                 assert combo[tag] != 0
                 for col in range(3):
                     assert sum(c * rows[t][col] for t, c in combo.items()) == 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(_matrices(fields=(GF2, GF7, GF_M61)))
+    def test_gfp_combinations_are_exact(self, m):
+        """The rows kept are independent, so a combination with coefficient
+        1 on its own tag, supported on earlier kept tags and summing to 0
+        mod p is the only one there is."""
+        p = m.field.characteristic
+        trb, kept = TrackingRowBasis(m.field, m.ncols), []
+        for tag, row in enumerate(m.rows):
+            combo = trb.add(row, tag)
+            if combo is None:
+                kept.append(tag)
+                continue
+            assert combo[tag] == 1
+            assert set(combo) - {tag} <= set(kept)
+            assert all(0 < c < p for c in combo.values())
+            for col in range(m.ncols):
+                assert sum(c * m.rows[t][col] for t, c in combo.items()) % p == 0
+        assert trb.rank == len(kept) == rank(m)
 
     @settings(max_examples=300, deadline=None)
     @given(_qq_sequences())
