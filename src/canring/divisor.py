@@ -103,7 +103,7 @@ def denominator_data(D: QDivisor) -> DenominatorData:
 
 def floor_divisor(D: QDivisor, d: int) -> list[int]:
     """Multiplicities of floor(d*D): b_i = floor(d * alpha_i)."""
-    return [math.floor(d * a) for a in D.alphas]
+    return [d * a.numerator // a.denominator for a in D.alphas]
 
 
 def graded_dim(D: QDivisor, d: int) -> int:

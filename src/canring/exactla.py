@@ -245,11 +245,10 @@ class RowBasis:
     whether the vector enlarged the span.
     """
 
-    __slots__ = ("field", "width", "_rows")
+    __slots__ = ("field", "_rows")
 
-    def __init__(self, field: FieldSpec, width: int):
+    def __init__(self, field: FieldSpec):
         self.field = field
-        self.width = width
         self._rows: list[tuple[int, list]] = []  # (pivot col, row), sorted
 
     @property
@@ -314,8 +313,8 @@ class TrackingRowBasis(RowBasis):
 
     __slots__ = ("_pending", "_exprs")
 
-    def __init__(self, field: FieldSpec, width: int):
-        super().__init__(field, width)
+    def __init__(self, field: FieldSpec):
+        super().__init__(field)
         self._pending: list[tuple] = []  # (pivot col, tag, scale, den, steps), in storage order
         self._exprs: dict[int, object] = {}  # pivot col -> expression, once replayed
 

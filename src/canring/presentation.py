@@ -260,8 +260,23 @@ class _Realization:
 def _pregen_subsets(real: _Realization, d: int) -> Optional[set[frozenset[int]]]:
     """Defect subsets A_c of the products S_c * S_{d-c}.
 
-    Returns None when some split has no defect (the degree is then fully
-    pregenerated), else the inclusion-minimal nonempty subsets.
+    S_c S_{d-c} is V_A = u^d H^0(floor(dD) - sum_{i in A} P_i) for A = A_c,
+    the sections of degree d that vanish at the points of A (at infinity:
+    degree <= r - 1).  In the dual of S_d = k[t]_{<=r}, V_A is annihilated
+    by span(E_i : i in A), E_i the evaluation at P_i (at infinity, the
+    coefficient of t^r).  Evaluations at k distinct points of P^1 are
+    independent when k <= r + 1 = dim S_d, so if the minimal subsets cover
+    at most dim S_d points, the annihilator of sum_A V_A is the
+    intersection of the span(E_A), span(E_{cap A}): the span has dimension
+    dim S_d - |cap A|.  The size guard is needed: past it the E_i are
+    dependent and the span can be smaller (alphas -3/2, -1/3, 2/3, 3/2 at
+    inf, 0, 1, -1: degree 6 has dim 3 and minimal subsets {0, 3}, {1, 2},
+    whose span has rank 2, so degree 6 has a generator).
+
+    Returns None when the degree is certified fully pregenerated: the
+    minimal subsets have empty intersection (some split with no defect
+    included) and cover at most dim S_d points.  Else returns the
+    inclusion-minimal subsets, whose defect sections span sum_A V_A.
     """
     floors_d = real.floors(d)
     subsets: set[frozenset[int]] = set()
@@ -278,6 +293,9 @@ def _pregen_subsets(real: _Realization, d: int) -> Optional[set[frozenset[int]]]
     minimal = {
         A for A in subsets if not any(B < A for B in subsets)
     }
+    if minimal and len(frozenset.union(*minimal)) <= real.dim(d):
+        if not frozenset.intersection(*minimal):
+            return None
     return minimal
 
 
@@ -291,12 +309,20 @@ def minimal_generators(
 
     Degree by degree, the pregenerated subspace sum_c S_c S_{d-c} is
     realized through the floor-sum identity S_c S_{d-c} =
-    u^d H^0(floor(cD) + floor((d-c)D)); new generators are picked from the
-    pinned monomial basis in order of decreasing vanishing order at the
-    first point, greedily extending the pregenerated span.  The returned
-    records keep that order within each degree (generators of one degree
-    carry strictly decreasing vanishing orders at the marked point), which
-    is the ordering the Groebner computation relies on.
+    u^d H^0(floor(cD) + floor((d-c)D)), the sections vanishing at the
+    points of the split's defect subset.  A degree whose minimal defect
+    subsets meet in no point and cover at most dim S_d points is certified
+    fully pregenerated without elimination: evaluations at that many
+    distinct points are independent, so the annihilator of the span is
+    spanned by the evaluations at the common points, of which there are
+    none (_pregen_subsets gives the argument and why the size guard is
+    needed).  Elsewhere the span is built by elimination from the defect
+    sections, and new generators are picked from the pinned monomial basis
+    in order of decreasing vanishing order at the first point, greedily
+    extending the pregenerated span.  The returned records keep that order
+    within each degree (generators of one degree carry strictly decreasing
+    vanishing orders at the marked point), which is the ordering the
+    Groebner computation relies on.
     """
     deg = D.degree
     if deg < 0:
@@ -321,8 +347,8 @@ def minimal_generators(
             continue
         subsets = _pregen_subsets(real, d)
         if subsets is None:
-            continue  # some product already fills the graded piece
-        span = RowBasis(field, real.r(d) + 1)
+            continue  # certified: the products fill the graded piece
+        span = RowBasis(field)
         for A in sorted(subsets, key=sorted):
             for vec in real.defect_sections(d, A):
                 span.add(vec)
@@ -446,7 +472,7 @@ def _standard_pass(
             continue
         if dim <= 0:
             raise AssertionError("monomials exist in a zero graded piece")
-        tracker = TrackingRowBasis(field, real.r(d) + 1)
+        tracker = TrackingRowBasis(field)
         standard[d], new = [], []
         for k, w in enumerate(ev.weights):
             for s in standard.get(d - w, ()):

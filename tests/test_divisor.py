@@ -65,6 +65,19 @@ class TestFloorsAndDims:
     def test_floor_two_point(self):
         assert floor_divisor(D2PT, 4) == [10, -1]
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        alphas=st.lists(
+            st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6),
+            min_size=1,
+            max_size=6,
+        ),
+        d=st.integers(min_value=0, max_value=10**6),
+    )
+    def test_floor_is_fraction_floor(self, alphas, d):
+        D = QDivisor.of(range(len(alphas)), alphas)
+        assert floor_divisor(D, d) == [math.floor(d * a) for a in alphas]
+
     def test_dims_235(self):
         assert graded_dim(D235, 30) == 2
         assert graded_dim(D235, 5) == 0

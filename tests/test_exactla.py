@@ -318,12 +318,12 @@ class TestQuotientComplement:
     candidates that extend the span, as minimal_generators relies on."""
 
     def test_zero_subspace(self):
-        rb = RowBasis(QQ, 3)
+        rb = RowBasis(QQ)
         cands = qmat([[1, 0, 0], [0, 1, 0], [0, 0, 1]]).rows
         assert [i for i, c in enumerate(cands) if rb.add(c)] == [0, 1, 2]
 
     def test_greedy_selection(self):
-        rb = RowBasis(QQ, 3)
+        rb = RowBasis(QQ)
         rb.add(qmat([[1, 0, 0]]).rows[0])
         cands = qmat([[1, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 1]]).rows
         assert [i for i, c in enumerate(cands) if rb.add(c)] == [1, 3]
@@ -332,7 +332,7 @@ class TestQuotientComplement:
     @settings(max_examples=40, deadline=None)
     @given(st.permutations([[0, 1, 0], [0, 0, 1], [0, 1, 1], [1, 1, 1]]))
     def test_selection_size_order_independent(self, cands):
-        rb = RowBasis(QQ, 3)
+        rb = RowBasis(QQ)
         rb.add(qmat([[1, 0, 0]]).rows[0])
         assert sum(rb.add(c) for c in qmat(cands).rows) == 2
         assert rb.rank == 3
@@ -341,7 +341,7 @@ class TestQuotientComplement:
 class TestRowBasis:
     @pytest.mark.parametrize("field", [QQ, GF7])
     def test_incremental_rank(self, field):
-        rb = RowBasis(field, 3)
+        rb = RowBasis(field)
         assert rb.add([field.of(1), field.of(2), field.of(3)])
         assert not rb.add([field.of(2), field.of(4), field.of(6)])
         assert rb.add([field.of(0), field.of(1), field.of(1)])
@@ -354,12 +354,12 @@ class TestRowBasis:
         with pytest.raises(TypeError):
             rank(ExactMatrix(GF7, [half]))
         with pytest.raises(TypeError):
-            RowBasis(GF7, 1).add(half)
+            RowBasis(GF7).add(half)
         with pytest.raises(TypeError):
-            TrackingRowBasis(GF7, 1).add(half, "a")
+            TrackingRowBasis(GF7).add(half, "a")
 
     def test_fraction_input_char0(self):
-        rb = RowBasis(QQ, 2)
+        rb = RowBasis(QQ)
         assert rb.add([Fraction(1, 2), Fraction(1, 3)])
         assert not rb.add([Fraction(3, 2), Fraction(1)])
 
@@ -372,7 +372,7 @@ class TestRowBasis:
         )
     )
     def test_matches_one_shot_rank(self, rows):
-        rb = RowBasis(QQ, 4)
+        rb = RowBasis(QQ)
         for r in rows:
             rb.add(r)
         assert rb.rank == rank(qmat(rows))
@@ -381,7 +381,7 @@ class TestRowBasis:
 class TestTrackingRowBasis:
     @pytest.mark.parametrize("field", [QQ, GF7])
     def test_reports_dependency(self, field):
-        trb = TrackingRowBasis(field, 3)
+        trb = TrackingRowBasis(field)
         rows = {
             "a": [1, 2, 0],
             "b": [0, 1, 1],
@@ -407,7 +407,7 @@ class TestTrackingRowBasis:
         )
     )
     def test_combinations_vanish(self, rows):
-        trb = TrackingRowBasis(QQ, 3)
+        trb = TrackingRowBasis(QQ)
         for tag, row in enumerate(rows):
             combo = trb.add([Fraction(x) for x in row], tag)
             if combo is not None:
@@ -422,7 +422,7 @@ class TestTrackingRowBasis:
         1 on its own tag, supported on earlier kept tags and summing to 0
         mod p is the only one there is."""
         p = m.field.characteristic
-        trb, kept = TrackingRowBasis(m.field, m.ncols), []
+        trb, kept = TrackingRowBasis(m.field), []
         for tag, row in enumerate(m.rows):
             combo = trb.add(row, tag)
             if combo is None:
@@ -438,8 +438,8 @@ class TestTrackingRowBasis:
     @settings(max_examples=300, deadline=None)
     @given(_qq_sequences())
     def test_matches_fraction_reference(self, case):
-        width, vecs = case
-        trb, reference = TrackingRowBasis(QQ, width), _FractionTracker()
+        _, vecs = case
+        trb, reference = TrackingRowBasis(QQ), _FractionTracker()
         for tag, vec in enumerate(vecs):
             combo = trb.add(vec, tag)
             assert combo == reference.add(vec, tag)
@@ -448,7 +448,7 @@ class TestTrackingRowBasis:
         assert trb.rank == len(reference.rows)
 
     def test_zero_vector_and_int_entries(self):
-        trb = TrackingRowBasis(QQ, 2)
+        trb = TrackingRowBasis(QQ)
         assert trb.add([0, 0], "z") == {"z": Fraction(1)}
         assert trb.add([2, 4], "a") is None
         combo = trb.add([Fraction(1, 3), Fraction(2, 3)], "b")

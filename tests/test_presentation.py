@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -278,6 +279,75 @@ class TestMinimalGenerators:
         assert gen_degrees(gens) == [6, 10]
 
 
+# degree 6 has dim 3 and minimal defect subsets {0, 3}, {1, 2}: they meet in
+# no point, but four evaluations on a 3-dimensional piece are dependent, so
+# the products span only rank 2 and degree 6 has a generator
+GUARDED = QDivisor.of(["inf", 0, 1, -1], [F("-3/2"), F("-1/3"), F("2/3"), F("3/2")])
+
+
+def minimal_defect_subsets(real, d):
+    """The inclusion-minimal defect subsets {i : floor(c a_i) + floor((d-c) a_i)
+    < floor(d a_i)} over the splits of degree d into two nonzero pieces."""
+    subsets = set()
+    for c in range(1, d):
+        if real.dim(c) and real.dim(d - c):
+            fc, fdc, fd = real.floors(c), real.floors(d - c), real.floors(d)
+            subsets.add(frozenset(i for i in range(len(fd)) if fc[i] + fdc[i] < fd[i]))
+    return {A for A in subsets if not any(B < A for B in subsets)}
+
+
+_CERTIFICATE_POOL = ["inf", 0, 1, 2, 3, -1]
+
+
+@st.composite
+def _certificate_cases(draw):
+    """A field and a divisor of positive degree on at most six points that
+    stay distinct in that field."""
+    field = draw(st.sampled_from([QQ, GF2, FieldSpec(3), GF7, GFBIG]))
+    p = field.characteristic
+    pool = _CERTIFICATE_POOL[: p + 1] if p and p < 6 else _CERTIFICATE_POOL
+    points = draw(st.permutations(pool))[: draw(st.integers(1, len(pool)))]
+    alphas = [
+        Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 6))) for _ in points
+    ]
+    alphas[0] += max(math.floor(-sum(alphas)) + 1, 0)  # positive degree
+    return field, QDivisor.of(points, alphas)
+
+
+class TestPregeneratedCertificate:
+    """Where the minimal defect subsets cover at most dim S_d points, the
+    products of degree d span a space of dimension dim S_d - |cap A|."""
+
+    @pytest.mark.parametrize("field", [QQ, GF7, GFBIG])
+    def test_size_guard_keeps_generator(self, field):
+        real = _Realization(GUARDED, field)
+        assert real.dim(6) == 3
+        assert minimal_defect_subsets(real, 6) == {frozenset({0, 3}), frozenset({1, 2})}
+        gens = minimal_generators(GUARDED, field)
+        assert gen_degrees(gens) == [2, 3, 6]
+        assert gen_degrees(gens) == brute_force_oracle(GUARDED, field, degree_bounds(GUARDED)[0])[0]
+
+    @settings(max_examples=80, deadline=None)
+    @given(_certificate_cases())
+    def test_span_rank_from_defect_points(self, case):
+        field, D = case
+        real = _Realization(D, field)
+        up_to = min(degree_bounds(D)[0], 14)
+        gens = gen_degrees(minimal_generators(D, field, up_to=up_to))
+        for d in range(1, up_to):
+            subsets = minimal_defect_subsets(real, d)
+            if not subsets or real.dim(d) > 60:
+                continue
+            span = RowBasis(field)
+            for A in subsets:
+                for vec in real.defect_sections(d, A):
+                    span.add(vec)
+            # the generators of degree d complement the products
+            assert gens.count(d) == real.dim(d) - span.rank
+            if len(frozenset.union(*subsets)) <= real.dim(d):
+                assert span.rank == real.dim(d) - len(frozenset.intersection(*subsets))
+
+
 def word_cmp(e1, e2):
     """Dictionary comparison of the words x_1^{e[0]} x_2^{e[1]} ..., a proper
     prefix first, read off the exponents."""
@@ -312,7 +382,7 @@ def reference_leading_terms(D, field, gens, up_to):
     weights = [g.degree for g in gens]
     hits = []
     for d in range(2, up_to + 1):
-        span = RowBasis(field, real.r(d) + 1)
+        span = RowBasis(field)
         for e in monomials_of_degree(weights, d):
             if not span.add(ev.section(e)):
                 hits.append(e)
@@ -334,7 +404,7 @@ def reference_relations(D, field, gens, up_to):
     kernels = {}
     minimal = []
     for d in range(2, up_to + 1):
-        tracker = TrackingRowBasis(field, real.r(d) + 1)
+        tracker = TrackingRowBasis(field)
         found = []
         for e in monomials_of_degree(weights, d):
             combo = tracker.add(ev.section(e), e)
