@@ -25,6 +25,7 @@ from .divisor import (
 from .errors import CanringError, TrivialRingError
 from .exactla import FieldSpec
 from .presentation import (
+    _default_windows,
     brute_force_oracle,
     generic_configs,
     groebner_leading_terms,
@@ -270,10 +271,13 @@ def cmd_scan(args) -> int:
 
 def cmd_oracle(args) -> int:
     D, field = _load_divisor(args)
-    if args.max_degree is not None:
-        window = args.max_degree
-    else:
-        window = degree_bounds(D)[1] if D.degree > 0 else 10
+    window = args.max_degree
+    if window is None:
+        # the relation bound, or ell + 1 in degree 0; at least 10 when
+        # deg D <= 0
+        window = _default_windows(D)[1]
+        if D.degree <= 0:
+            window = max(window, 10)
     if window < 2:
         raise CanringError(f"an oracle window of {window} compares no degree; it must be 2 or more")
     gens = minimal_generators(D, field, min(window, degree_bounds(D)[0]) if D.degree > 0 else window)

@@ -1,12 +1,13 @@
 """Exact linear algebra over the rationals and over prime fields.
 
-Matrix entries are ``fractions.Fraction`` in characteristic 0 and plain
-ints in [0, p) in characteristic p.  Characteristic-0 elimination is
-fraction-free, over content-stripped integer rows.  ``RowBasis`` owns the
-one incremental elimination loop; ``TrackingRowBasis`` logs its steps and
-replays row expressions only for a dependent row's combination.  The
-one-shot ``row_reduce`` builds ``Fraction``s once, at the end, and
-``rank`` clears only below each pivot.
+Matrix entries are exact rationals in characteristic 0, ``int``s or
+``fractions.Fraction``s mixed freely, and ints read mod p in characteristic
+p.  Characteristic-0 elimination is fraction-free, over content-stripped
+integer rows: an integer row enters as it is, with only its content
+divided out.  ``RowBasis`` owns the one incremental elimination loop;
+``TrackingRowBasis`` logs its steps and replays row expressions only for a
+dependent row's combination.  The one-shot ``row_reduce`` builds
+``Fraction``s once, at the end, and ``rank`` clears only below each pivot.
 """
 
 from __future__ import annotations
@@ -134,11 +135,7 @@ class ExactMatrix:
 
 def _strip_content(row: list[int]) -> tuple[list[int], int]:
     """The row divided by its content, and that content (1 for a zero row)."""
-    g = 0
-    for x in row:
-        g = math.gcd(g, x)
-        if g == 1:
-            return row, 1
+    g = math.gcd(*row)
     if g <= 1:
         return row, 1
     return [x // g for x in row], g

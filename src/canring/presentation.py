@@ -9,10 +9,16 @@ stored as a coefficient vector of length r + 1.  Infinite points
 contribute the constant section 1.
 
 Products are formed over the integers: a finite point a/q contributes the
-factor (q t - a), whose powers each realization tabulates, and a section
-is one integer product divided once by its denominator prod q_i^(g_i)
-(in GF(p) the factor is (t - p_i), reduced mod p).  Sections therefore
-keep the rational coordinates of the monic factors (t - p_i).
+factor (q t - a), whose powers each realization tabulates (in GF(p) the
+factor is (t - p_i), reduced mod p).  A section is the pair (row, den): an
+integer row over one positive denominator, normalised so that
+gcd(den, *row) == 1, in the coordinates of the monic factors (t - p_i); in
+GF(p) row holds residues and den is 1.  Rendering, products and
+elimination stay on these rows, since rank and span ignore the scale of a
+row.  Fractions are built only where a value is read: the generator
+records, the relation coefficients (a combination of the rows, times the
+denominator of each tag), the substitution check and the oracle's
+relation kernel.
 
 Relations and Groebner leading terms come from one degreewise pass that
 renders only the standard monomials and the new leading terms.
@@ -103,12 +109,23 @@ def _poly_mul(field: FieldSpec, a: Sequence[int], b: Sequence[int]) -> list[int]
     return [c % p for c in out] if p else out
 
 
-def _cleared(vec: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Integer numerators of a rational vector over their common denominator."""
+Section = tuple[list[int], int]  # (row, den), see the module docstring
+
+
+def _cleared(vec: Sequence) -> Section:
+    """The section of a vector of field values: its integer numerators over
+    their common denominator, which shares no prime with all of them."""
     # unpack a list, not a generator: CPython builds a generator's argument
     # tuple by resizing, which piles tuples up in its per-size free lists
     den = math.lcm(*[c.denominator for c in vec])
     return [c.numerator * (den // c.denominator) for c in vec], den
+
+
+def _values(field: FieldSpec, row: Sequence[int], den: int) -> list:
+    """The field values row / den of a section."""
+    if field.characteristic:
+        return list(row)
+    return [Fraction(c, den) for c in row]
 
 
 class _Realization:
@@ -118,9 +135,9 @@ class _Realization:
         self.divisor = padded(D)
         self.field = field
         self._floors: dict[int, list[int]] = {}
+        self._r: dict[int, int] = {}  # sum of the floors, stored with them
         self._bases: dict[int, list[GradedMonomial]] = {}
-        self._sections: dict[int, list[list]] = {}
-        self._zero = field.zero
+        self._sections: dict[int, list[Section]] = {}
         self._denominators: list[int] = []  # q_i, or 0 at an infinite point
         self._powers: list[list[list[int]]] = []  # (q_i t - a_i)^k by k, grown on demand
         p = field.characteristic
@@ -141,11 +158,14 @@ class _Realization:
 
     def floors(self, d: int) -> list[int]:
         if d not in self._floors:
-            self._floors[d] = floor_divisor(self.divisor, d)
+            b = self._floors[d] = floor_divisor(self.divisor, d)
+            self._r[d] = sum(b)
         return self._floors[d]
 
     def r(self, d: int) -> int:
-        return sum(self.floors(d))
+        if d not in self._r:
+            self.floors(d)
+        return self._r[d]
 
     def dim(self, d: int) -> int:
         return max(self.r(d) + 1, 0)
@@ -173,55 +193,52 @@ class _Realization:
                 den *= self._denominators[i] ** g
         return poly, den
 
-    def _to_field(self, poly: list[int], den: int, width: int) -> list:
-        """The field vector poly / den, padded to width coordinates."""
+    def _to_field(self, poly: list[int], den: int, width: int) -> Section:
+        """The section poly / den, padded to width coordinates and
+        normalised: den shares no prime with all of the row."""
         if any(poly[width:]):
             raise AssertionError("section left the graded piece")
-        zero = self._zero
-        if self.field.characteristic:
-            out = poly[:width]
-        else:
-            out = [Fraction(c, den) if c else zero for c in poly[:width]]
-        out += [zero] * (width - len(out))
-        return out
+        row = poly[:width]
+        row += [0] * (width - len(row))
+        if den != 1:
+            g = math.gcd(den, *row)
+            if g != 1:
+                den //= g
+                row = [c // g for c in row]
+        return row, den
 
-    def render_exponents(self, exponents: Sequence[int], width: int) -> list:
+    def render_exponents(self, exponents: Sequence[int], width: int) -> Section:
         """Coefficients of prod over finite points of (t - p_i)^(g_i)."""
         return self._to_field(*self._product([1], exponents), width)
 
-    def render(self, mono: GradedMonomial) -> list:
+    def render(self, mono: GradedMonomial) -> Section:
         b = self.floors(mono.d)
         return self.render_exponents(
             [ci + bi for ci, bi in zip(mono.c, b)], self.r(mono.d) + 1
         )
 
-    def basis_sections(self, d: int) -> list[list]:
+    def basis_sections(self, d: int) -> list[Section]:
         if d not in self._sections:
             self._sections[d] = [self.render(m) for m in self.basis(d)]
         return self._sections[d]
 
-    def multiply(self, d1: int, v1: Sequence, d2: int, v2: Sequence) -> list:
+    def multiply(self, d1: int, s1: Section, d2: int, s2: Section) -> Section:
         """Product of sections, expressed in the coordinates of degree d1+d2."""
         d = d1 + d2
         b, b1, b2 = self.floors(d), self.floors(d1), self.floors(d2)
-        if self.field.characteristic:
-            den = 1
-        else:
-            v1, den1 = _cleared(v1)
-            v2, den2 = _cleared(v2)
-            den = den1 * den2
+        (v1, den1), (v2, den2) = s1, s2
         poly, excess_den = self._product(
             _poly_mul(self.field, v1, v2),
             [bi - bi1 - bi2 for bi, bi1, bi2 in zip(b, b1, b2)],
         )
-        return self._to_field(poly, den * excess_den, self.r(d) + 1)
+        return self._to_field(poly, den1 * den2 * excess_den, self.r(d) + 1)
 
     def defect_sections(self, d: int, subset: frozenset[int]) -> list[list[int]]:
         """Spanning rows of u^d H^0(floor(dD) - sum_{i in subset} P_i) in
         degree-d coordinates, each an integer multiple of a section; empty
         when that space is zero."""
         b = self.floors(d)
-        e = sum(b) - len(subset)
+        e = self.r(d) - len(subset)
         if e < 0:
             return []
         width = self.r(d) + 1
@@ -343,10 +360,12 @@ def minimal_generators(
         if span.rank == dim:
             continue
         # reversed: the basis lists strictly increasing orders at the first point
-        for mono, vec in zip(reversed(real.basis(d)), reversed(real.basis_sections(d))):
-            if span.add(vec):
+        for mono, (row, den) in zip(reversed(real.basis(d)), reversed(real.basis_sections(d))):
+            if span.add(row):
                 found.append(
-                    GeneratorRecord(d, mono, tuple(vec), real.marked_order(mono))
+                    GeneratorRecord(
+                        d, mono, tuple(_values(field, row, den)), real.marked_order(mono)
+                    )
                 )
                 if span.rank == dim:
                     break
@@ -391,28 +410,31 @@ class _MonomialEvaluator:
 
     def __init__(self, real: _Realization, gens: Sequence[GeneratorRecord]):
         self.real = real
-        self.gens = list(gens)
-        self.weights = [g.degree for g in self.gens]
-        self._memo: dict[tuple[int, ...], list] = {
-            tuple([0] * len(self.gens)): [real.field.one]
-        }
+        self.weights = [g.degree for g in gens]
+        self._gen_sections = [_cleared(g.section) for g in gens]  # cleared once
+        self._memo: dict[tuple[int, ...], Section] = {tuple([0] * len(gens)): ([1], 1)}
 
     def degree(self, exps: tuple[int, ...]) -> int:
         return sum(e * w for e, w in zip(exps, self.weights))
 
-    def section(self, exps: tuple[int, ...]) -> list:
+    def section(self, exps: tuple[int, ...]) -> Section:
         vec = self._memo.get(exps)
         if vec is not None:
             return vec
         k = next(i for i, e in enumerate(exps) if e)
         parent = exps[:k] + (exps[k] - 1,) + exps[k + 1 :]
         parent_vec = self.section(parent)
-        g = self.gens[k]
         vec = self.real.multiply(
-            g.degree, g.section, self.degree(parent), parent_vec
+            self.weights[k], self._gen_sections[k], self.degree(parent), parent_vec
         )
         self._memo[exps] = vec
         return vec
+
+    def rescaled(self, combo: dict) -> dict:
+        """A vanishing combination of memoized rows as one of their sections:
+        the row of a section over den is den times the section."""
+        memo = self._memo
+        return {t: c * den if (den := memo[t][1]) != 1 else c for t, c in combo.items()}
 
 
 def _standard_pass(
@@ -458,12 +480,12 @@ def _standard_pass(
                     for j, x in enumerate(e[k + 1 :], k + 1)
                 ):
                     continue
-                combo = tracker.add(ev.section(e), e)
+                combo = tracker.add(ev.section(e)[0], e)
                 if combo is None:
                     standard[d].append(e)
                     known.add(e)
                 else:
-                    new.append((e, combo))
+                    new.append((e, ev.rescaled(combo)))
         if tracker.rank != dim:
             raise GenerationError(
                 f"generators span only {tracker.rank} of {dim} dimensions in degree {d}"
@@ -572,7 +594,7 @@ def relation_evaluates_to_zero(
     width = real.r(poly.degree) + 1
     total = [field.zero] * width
     for exps, coeff in poly.terms:
-        vec = ev.section(exps)
+        vec = _values(field, *ev.section(exps))
         total = [field.add(t, field.mul(coeff, v)) for t, v in zip(total, vec)]
     return not any(total)
 
@@ -703,7 +725,7 @@ def brute_force_oracle(
     if any(real.dim(d) > 40 for d in range(up_to + 1)):
         raise OversizeError(f"graded pieces exceed dimension 40 below {up_to}")
 
-    gens: list[tuple[int, list]] = []  # (degree, section)
+    gens: list[tuple[int, Section]] = []  # (degree, section)
     gen_degrees: list[int] = []
     for d in range(1, up_to):
         dim = real.dim(d)
@@ -713,7 +735,7 @@ def brute_force_oracle(
         for c in range(1, d // 2 + 1):
             for u in real.basis_sections(c):
                 for v in real.basis_sections(d - c):
-                    products.append(real.multiply(c, u, d - c, v))
+                    products.append(real.multiply(c, u, d - c, v)[0])
         width = real.r(d) + 1
         pre_rank = rank(ExactMatrix(field, products, ncols=width))
         if pre_rank == dim:
@@ -724,7 +746,7 @@ def brute_force_oracle(
         rows = list(products)
         current = pre_rank
         for _, vec in candidates:
-            trial = rows + [vec]
+            trial = rows + [vec[0]]
             new_rank = rank(ExactMatrix(field, trial, ncols=width))
             if new_rank > current:
                 rows = trial
@@ -746,13 +768,13 @@ def brute_force_oracle(
             continue
         sections = {}
         for e in exps:
-            vec = [field.one]
+            vec = ([1], 1)
             deg_so_far = 0
             for k, (gd, gvec) in enumerate(gens):
                 for _ in range(e[k]):
                     vec = real.multiply(deg_so_far, vec, gd, gvec)
                     deg_so_far += gd
-            sections[e] = vec
+            sections[e] = _values(field, *vec)
         width = real.r(d) + 1
         mat = ExactMatrix(field, [sections[e] for e in exps], ncols=width)
         if rank(mat) != real.dim(d):

@@ -287,8 +287,9 @@ class TestOracle:
         "alphas, window, degrees",
         [
             ("1/2,1/3", 11, ([1, 2, 3], [5])),  # the relation-degree bound
-            ("1/2,-1/2", 10, ([2], [])),  # degree 0: a fixed window
+            ("1/2,-1/2", 10, ([2], [])),  # degree 0: max(10, ell + 1)
             ("-1/2,1/4", 10, ([], [])),
+            ("1/11,-1/11", 12, ([11], [])),  # ell = 11: the window reaches it
         ],
     )
     def test_default_window(self, capsys, alphas, window, degrees):

@@ -456,6 +456,45 @@ class TestTrackingRowBasis:
         assert all(type(c) is Fraction for c in combo.values())
 
 
+class TestIntegerRows:
+    """Characteristic-0 elimination takes an integer row as it is.  The same
+    row scaled by a positive Fraction gives the same rank and add verdicts,
+    and a tracked combination differs only by the scale on each tag."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=_qq_sequences(), data=st.data())
+    def test_scaled_rows_agree(self, case, data):
+        width, vecs = case
+        rows = []
+        for vec in vecs:
+            den = math.lcm(*[Fraction(x).denominator for x in vec])
+            rows.append([int(x * den) for x in vec])
+        scales = data.draw(
+            st.lists(
+                st.builds(Fraction, st.integers(1, 60), st.integers(1, 60)),
+                min_size=len(rows),
+                max_size=len(rows),
+            )
+        )
+        scaled = [[x * q for x in row] for row, q in zip(rows, scales)]
+        # a zero row is its own multiple, so its tag keeps the scale 1
+        tag_scales = [q if any(row) else 1 for row, q in zip(rows, scales)]
+        assert rank(ExactMatrix(QQ, rows, ncols=width)) == rank(
+            ExactMatrix(QQ, scaled, ncols=width)
+        )
+        basis, scaled_basis = RowBasis(QQ), RowBasis(QQ)
+        tracker, scaled_tracker = TrackingRowBasis(QQ), TrackingRowBasis(QQ)
+        for tag, (row, scaled_row) in enumerate(zip(rows, scaled)):
+            assert basis.add(row) == scaled_basis.add(scaled_row)
+            combo = tracker.add(row, tag)
+            scaled_combo = scaled_tracker.add(scaled_row, tag)
+            if scaled_combo is None:
+                assert combo is None
+            else:
+                assert combo == {t: c * tag_scales[t] for t, c in scaled_combo.items()}
+        assert basis.rank == scaled_basis.rank == tracker.rank == scaled_tracker.rank
+
+
 class TestSparseRowBasis:
     def test_rank_tracking(self):
         srb = SparseRowBasis(GF7)

@@ -30,6 +30,7 @@ from canring.presentation import (
     RelationPoly,
     _MonomialEvaluator,
     _Realization,
+    _cleared,
     _word,
     brute_force_oracle,
     generic_configs,
@@ -71,10 +72,23 @@ def gen_degrees(gens):
     return sorted(g.degree for g in gens)
 
 
+def field_values(field, section):
+    """The field values row / den of a section (row, den), which must be
+    normalised: den >= 1 shares no prime with all of the row, and is 1 in GF(p)."""
+    row, den = section
+    assert all(type(c) is int for c in row)
+    assert den >= 1 and math.gcd(den, *row) == 1
+    if field.characteristic:
+        assert den == 1
+        return list(row)
+    return [Fraction(c, den) for c in row]
+
+
 def section_matrix(D, field, d):
     """The degree-d basis sections of D as rows of an exact matrix."""
     real = _Realization(D, field)
-    return ExactMatrix(field, real.basis_sections(d), ncols=max(real.r(d) + 1, 0))
+    rows = [field_values(field, s) for s in real.basis_sections(d)]
+    return ExactMatrix(field, rows, ncols=max(real.r(d) + 1, 0))
 
 
 class TestSectionSpace:
@@ -118,7 +132,9 @@ class TestSectionSpace:
             field = FieldSpec(char)
             real = _Realization(D235, field)
             for d in (6, 20, 30, 36):
-                span_rows = [real.render(m) for m in monomial_spanning_set(D235, d)]
+                span_rows = [
+                    field_values(field, real.render(m)) for m in monomial_spanning_set(D235, d)
+                ]
                 if not span_rows:
                     continue
                 width = real.r(d) + 1
@@ -195,7 +211,7 @@ class TestRenderReference:
 
         exps = data.draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
         width = sum(exps) + 1 + data.draw(st.integers(0, 2))
-        got = real.render_exponents(exps, width)
+        got = field_values(field, real.render_exponents(exps, width))
         want = padded_to(reference_product(real, exps), width, field)
         assert got == want
         assert list(map(type, got)) == list(map(type, want))
@@ -203,9 +219,10 @@ class TestRenderReference:
         d1, d2 = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
         for d in (d1, d2):
             floors = real.floors(d)
-            for mono, vec in zip(real.basis(d), real.basis_sections(d)):
+            for mono, section in zip(real.basis(d), real.basis_sections(d)):
                 g = [c + b for c, b in zip(mono.c, floors)]
-                assert vec == padded_to(reference_product(real, g), real.r(d) + 1, field)
+                want = padded_to(reference_product(real, g), real.r(d) + 1, field)
+                assert field_values(field, section) == want
 
         coeff = st.builds(Fraction, st.integers(-7, 7), st.integers(1, 5)).map(field.of)
         if real.dim(d1) and real.dim(d2):
@@ -219,7 +236,7 @@ class TestRenderReference:
             for i, x in enumerate(v1):
                 for j, y in enumerate(v2):
                     conv[i + j] = field.add(conv[i + j], field.mul(x, y))
-            got = real.multiply(d1, v1, d2, v2)
+            got = field_values(field, real.multiply(d1, _cleared(v1), d2, _cleared(v2)))
             want = padded_to(reference_product(real, excess, conv), real.r(d1 + d2) + 1, field)
             assert got == want
             assert list(map(type, got)) == list(map(type, want))
@@ -240,6 +257,59 @@ class TestRenderReference:
             ref_rank = span_rank(field, ref_rows, width)
             assert span_rank(field, rows, width) == ref_rank
             assert span_rank(field, rows + ref_rows, width) == ref_rank
+
+
+class TestSectionPairs:
+    """A section is (row, den), normalised as field_values checks, and it is
+    exactly the cleared vector of the naive product of linear factors."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        terms=st.lists(
+            st.tuples(
+                # denominators up to 7: points that reduce to infinity in GF(7)
+                st.one_of(
+                    st.just("inf"), st.builds(Fraction, st.integers(-9, 9), st.integers(1, 7))
+                ),
+                st.builds(Fraction, st.integers(-2, 3), st.integers(1, 4)),
+            ),
+            min_size=1,
+            max_size=4,
+            unique_by=lambda term: term[0],
+        ).filter(lambda terms: sum(a for _, a in terms) > 0),
+        field=st.sampled_from([QQ, GF7, GFBIG]),
+        data=st.data(),
+    )
+    def test_normalised_rows_of_the_naive_products(self, terms, field, data):
+        points, alphas = zip(*terms)
+        try:
+            real = _Realization(QDivisor.of(points, alphas), field)
+        except PointCollisionError:
+            return  # two points meet after reduction
+        n = real.divisor.n
+
+        def check(section, exponents, width):
+            want = padded_to(reference_product(real, exponents), width, field)
+            assert field_values(field, section) == want
+            assert section == _cleared(want)
+
+        exps = data.draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+        check(real.render_exponents(exps, sum(exps) + 1), exps, sum(exps) + 1)
+
+        # a product of basis sections, one factor at a time: it renders the
+        # sum of their monomials' exponents
+        product, degree, c = ([1], 1), 0, [0] * n
+        for d in data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=3)):
+            sections = real.basis_sections(d)
+            for mono, section in zip(real.basis(d), sections):
+                check(section, [ci + bi for ci, bi in zip(mono.c, real.floors(d))], real.r(d) + 1)
+            if not sections:
+                continue
+            k = data.draw(st.integers(0, len(sections) - 1))
+            product = real.multiply(degree, product, d, sections[k])
+            degree += d
+            c = [x + y for x, y in zip(c, real.basis(d)[k].c)]
+            check(product, [ci + bi for ci, bi in zip(c, real.floors(degree))], real.r(degree) + 1)
 
 
 class TestMinimalGenerators:
@@ -407,7 +477,7 @@ def reference_leading_terms(D, field, gens, up_to):
     for d in range(2, up_to + 1):
         span = RowBasis(field)
         for e in monomials_of_degree(weights, d):
-            if not span.add(ev.section(e)):
+            if not span.add(field_values(field, ev.section(e))):
                 hits.append(e)
     minimal = [
         e
@@ -430,7 +500,7 @@ def reference_relations(D, field, gens, up_to):
         tracker = TrackingRowBasis(field)
         found = []
         for e in monomials_of_degree(weights, d):
-            combo = tracker.add(ev.section(e), e)
+            combo = tracker.add(field_values(field, ev.section(e)), e)
             if combo is not None:
                 found.append(combo)
         kernels[d] = found
@@ -533,6 +603,23 @@ class TestRelations:
         for rel in rels:
             assert relation_evaluates_to_zero(D, field, gens, rel)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        alphas=_CRITERION_09_ALPHAS,
+        points=st.permutations(["inf", F("1/2"), F("2/3"), F("3/4")]),  # distinct mod 7
+        field=st.sampled_from([QQ, GF7, GFBIG]),
+    )
+    def test_matches_full_elimination_off_integer_points(self, alphas, points, field):
+        # points a/q with q > 1 give sections over denominators other than 1,
+        # so each relation coefficient is rescaled by the one of its monomial
+        D = QDivisor.of(points[: len(alphas)], alphas)
+        window = criterion_09_window(D)
+        gens = minimal_generators(D, field, up_to=window)
+        rels = relation_ideal(D, field, gens, window)
+        assert rels == reference_relations(D, field, gens, window)
+        for rel in rels:
+            assert relation_evaluates_to_zero(D, field, gens, rel)
+
     @pytest.mark.parametrize("field", [QQ, GFBIG])
     def test_tracks_standard_monomials_and_leading_terms_only(self, field, monkeypatch):
         gens = minimal_generators(CHORDS, field)
@@ -609,7 +696,7 @@ class TestGroebner:
             rows = []
             seen_rank = 0
             for e in exps:
-                rows.append(ev.section(e))
+                rows.append(field_values(QQ, ev.section(e)))
                 new_rank = len(row_reduce(ExactMatrix(QQ, rows, ncols=real.r(d) + 1))[1])
                 if new_rank == seen_rank:
                     brute_hits.append(e)
