@@ -280,12 +280,13 @@ def cmd_oracle(args) -> int:
             window = max(window, 10)
     if window < 2:
         raise CanringError(f"an oracle window of {window} compares no degree; it must be 2 or more")
+    # the oracle first: its size guard refuses before any engine work
+    oracle = brute_force_oracle(D, field, window)
     gens = minimal_generators(D, field, min(window, degree_bounds(D)[0]) if D.degree > 0 else window)
     engine = (
         sorted(g.degree for g in gens),
         minimal_relation_degrees(D, field, gens, window),
     )
-    oracle = brute_force_oracle(D, field, window)
     match = engine == oracle
     if args.json:
         report = {

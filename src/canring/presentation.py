@@ -718,8 +718,18 @@ def brute_force_oracle(
     scratch: pregenerated spans by naive section products, candidate
     monomials in plain lexicographic order, one-shot rank computations.
 
+    Each exact computation runs once.  The product of basis monomials of
+    degrees c and d - c is the degree-d monomial of their summed exponents,
+    so the pregenerated span takes one product per distinct sum.  A
+    monomial in the generators is rendered once, as its parent (the last
+    nonzero exponent lowered by one) times that generator, from a memo
+    local to the call; this is the left-to-right product order of the
+    generators.  The sections of degree d span S_d exactly when the
+    relation kernel has dimension #monomials - dim S_d (rank-nullity), so
+    no separate rank is taken.
+
     Only meant for small instances; refuses anything with a graded piece
-    of dimension above 40 below the requested degree.
+    of dimension above 40 at or below the requested degree.
     """
     real = _Realization(D, field)
     if any(real.dim(d) > 40 for d in range(up_to + 1)):
@@ -731,19 +741,21 @@ def brute_force_oracle(
         dim = real.dim(d)
         if dim == 0:
             continue
-        products = []
+        products = {}  # by the summed exponents of the two factors
         for c in range(1, d // 2 + 1):
-            for u in real.basis_sections(c):
-                for v in real.basis_sections(d - c):
-                    products.append(real.multiply(c, u, d - c, v)[0])
+            for mu, u in zip(real.basis(c), real.basis_sections(c)):
+                for mv, v in zip(real.basis(d - c), real.basis_sections(d - c)):
+                    key = tuple([x + y for x, y in zip(mu.c, mv.c)])
+                    if key not in products:
+                        products[key] = real.multiply(c, u, d - c, v)[0]
+        rows = list(products.values())
         width = real.r(d) + 1
-        pre_rank = rank(ExactMatrix(field, products, ncols=width))
+        pre_rank = rank(ExactMatrix(field, rows, ncols=width))
         if pre_rank == dim:
             continue
         candidates = sorted(
             zip(real.basis(d), real.basis_sections(d)), key=lambda p: p[0].c
         )
-        rows = list(products)
         current = pre_rank
         for _, vec in candidates:
             trial = rows + [vec[0]]
@@ -759,6 +771,8 @@ def brute_force_oracle(
             raise AssertionError(f"oracle failed to span degree {d}")
 
     weights = [d for d, _ in gens]
+    zero = (0,) * len(gens)
+    memo: dict[tuple[int, ...], Section] = {zero: ([1], 1)}  # sections by exponents
     rel_degrees: list[int] = []
     monomials: dict[int, list[tuple]] = {}
     kernels: dict[int, list[list]] = {}
@@ -766,21 +780,18 @@ def brute_force_oracle(
         exps = monomials[d] = sorted(_weighted_exponents(weights, d))
         if not exps:
             continue
-        sections = {}
         for e in exps:
-            vec = ([1], 1)
-            deg_so_far = 0
-            for k, (gd, gvec) in enumerate(gens):
-                for _ in range(e[k]):
-                    vec = real.multiply(deg_so_far, vec, gd, gvec)
-                    deg_so_far += gd
-            sections[e] = _values(field, *vec)
-        width = real.r(d) + 1
-        mat = ExactMatrix(field, [sections[e] for e in exps], ncols=width)
-        if rank(mat) != real.dim(d):
-            raise GenerationError(f"oracle generators do not span degree {d}")
-        transpose = ExactMatrix(field, [list(col) for col in zip(*mat.rows)], ncols=len(exps))
+            k = max(i for i, x in enumerate(e) if x)
+            parent = e[:k] + (e[k] - 1,) + e[k + 1 :]
+            gd, gvec = gens[k]
+            if parent not in memo:  # a generator of degree 1: the loop starts at 2
+                memo[parent] = real.multiply(0, memo[zero], 1, gens[parent.index(1)][1])
+            memo[e] = real.multiply(d - gd, memo[parent], gd, gvec)
+        sections = [_values(field, *memo[e]) for e in exps]
+        transpose = ExactMatrix(field, [list(col) for col in zip(*sections)], ncols=len(exps))
         kern = kernel_basis(transpose)
+        if len(exps) - len(kern) != real.dim(d):
+            raise GenerationError(f"oracle generators do not span degree {d}")
         kernels[d] = kern
         if not kern:
             continue

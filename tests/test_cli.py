@@ -302,6 +302,15 @@ class TestOracle:
         code, out, _ = run(capsys, "oracle", f"--alphas={alphas}")
         assert (code, out) == (0, "MATCH\n")
 
+    def test_size_guard_refuses_before_engine_work(self, capsys, monkeypatch):
+        def engine(*args, **kwargs):
+            raise AssertionError("the engine ran before the oracle's size guard")
+
+        monkeypatch.setattr(cli, "minimal_generators", engine)
+        code, out, err = run(capsys, "oracle", "--alphas=1/2,1/3", "--max-degree", "800")
+        assert (code, out) == (1, "")
+        assert err == "error: graded pieces exceed dimension 40 below 800\n"
+
     @pytest.mark.parametrize("window", ["0", "1"])
     def test_window_that_compares_nothing_is_an_error(self, capsys, window):
         code, out, err = run(

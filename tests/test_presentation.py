@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from canring import presentation
@@ -800,6 +800,21 @@ class TestThreshold:
             xgen_threshold(QDivisor.of([0], [-1]))
 
 
+@st.composite
+def _split_cases(draw):
+    """A field and the realization of a divisor on at most three points,
+    some off the integers, some infinite in GF(7)."""
+    field = draw(st.sampled_from([QQ, GF7, GFBIG]))
+    pool = ["inf", 0, 1, F("1/2"), F("-3/5"), F("2/7"), 3]  # 4, 5 and inf in GF(7)
+    points = draw(st.permutations(pool))[: draw(st.integers(1, 3))]
+    alphas = [Fraction(draw(st.integers(-2, 2)), draw(st.integers(1, 4))) for _ in points]
+    alphas[0] += max(math.floor(-sum(alphas)) + 1, 0)  # positive degree
+    try:
+        return field, _Realization(QDivisor.of(points, alphas), field)
+    except PointCollisionError:  # 2/7 meets inf, given or padded, in GF(7)
+        reject()
+
+
 class TestOracle:
     def test_matches_engine_on_235(self):
         gens = minimal_generators(D235, QQ)
@@ -837,6 +852,98 @@ class TestOracle:
         big = QDivisor.of([0, 1], [3, 3])
         with pytest.raises(OversizeError):
             brute_force_oracle(big, QQ, 30)
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=_split_cases(), d=st.integers(2, 9))
+    def test_split_products_render_summed_monomials(self, case, d):
+        # why the oracle forms one product per distinct summed exponent vector
+        field, real = case
+        width = real.r(d) + 1
+        for c in range(1, d // 2 + 1):
+            for mu, u in zip(real.basis(c), real.basis_sections(c)):
+                for mv, v in zip(real.basis(d - c), real.basis_sections(d - c)):
+                    summed = tuple(x + y for x, y in zip(mu.c, mv.c))
+                    g = [x + b for x, b in zip(summed, real.floors(d))]
+                    naive = padded_to(reference_product(real, g), width, field)
+                    product = real.multiply(c, u, d - c, v)
+                    assert product == _cleared(naive)
+                    assert product == real.render(GradedMonomial(d, summed))
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=_split_cases(), d=st.integers(2, 9))
+    def test_distinct_products_keep_the_pregenerated_rank(self, case, d):
+        field, real = case
+        width = real.r(d) + 1
+        every, distinct = [], {}
+        for c in range(1, d // 2 + 1):
+            for mu, u in zip(real.basis(c), real.basis_sections(c)):
+                for mv, v in zip(real.basis(d - c), real.basis_sections(d - c)):
+                    row = field_values(field, real.multiply(c, u, d - c, v))
+                    every.append(row)
+                    distinct.setdefault(tuple(x + y for x, y in zip(mu.c, mv.c)), row)
+        assert len(every) == sum(
+            real.dim(c) * real.dim(d - c) for c in range(1, d // 2 + 1)
+        )
+        assert span_rank(field, list(distinct.values()), width) == span_rank(field, every, width)
+
+    @pytest.mark.parametrize("field", [QQ, GF7, GFBIG], ids=str)
+    @pytest.mark.parametrize(
+        "points, alphas, window, degrees",
+        [
+            # the heavy cost class of the criterion 09 draw
+            ((0, 1, 2), ("2/3", "1/3", "-1/4"), 15,
+             ([2, 3, 3, 3, 4, 4], [6, 6, 6, 6, 7, 7, 7, 7, 8, 8])),
+            ((0, 1, 2), ("-1/4", "-1/4", "1"), 15, ([2, 3, 3, 4, 4], [6, 6, 6, 7, 7, 8])),
+            ((0, 1, 2), ("1", "1/3", "-1/3"), 15, ([1, 2, 3, 3], [4, 5, 6])),
+            ((0, 1, 2), ("0", "1/4", "2/3"), 15, ([1, 2, 3, 4], [4, 6, 7])),
+            ((0, 1, 2), ("-1/4", "-1", "2"), 15, ([1, 2, 3, 4], [4, 5, 6])),
+            ((0, 1, 2), ("1/2", "-1/3", "1/4"), 15, ([2, 3, 4, 5], [7, 8, 10])),
+            ((0, 1), ("1/4", "1/2"), 12, ([1, 2, 4], [6])),
+            (("inf", "1/2", "-3/4"), ("1/2", "1/3", "-1/4"), 14,
+             ([2, 3, 3, 4, 4], [6, 6, 7, 7, 8, 8])),
+            ((0, 1, 2), ("1/3", "-1/2", "1/6"), 8, ([6], [])),  # degree 0
+            ((0, 1), ("-1/2", "1/4"), 8, ([], [])),
+        ],
+    )
+    def test_pinned_degrees(self, field, points, alphas, window, degrees):
+        D = QDivisor.of(points, [F(a) for a in alphas])
+        assert brute_force_oracle(D, field, window) == degrees
+
+    @pytest.mark.parametrize("field", [QQ, GF7, GFBIG], ids=str)
+    def test_missing_generator_fails_the_kernel_count(self, field):
+        # generators are picked below the window, spans are checked through
+        # it: degree 5 of 13/5 needs a generator of its own
+        with pytest.raises(GenerationError, match="oracle generators do not span degree 5"):
+            brute_force_oracle(QDivisor.of(["inf"], [F("13/5")]), field, 5)
+
+
+@st.composite
+def _generic_divisors(draw):
+    """A divisor of positive degree on a generic configuration of at most
+    four points."""
+    n = draw(st.integers(1, 4))
+    points = generic_configs(n, 1, [0], draw(st.integers(0, 2**32)))[0][0]
+    alphas = [Fraction(draw(st.integers(-2, 2)), draw(st.integers(1, 4))) for _ in points]
+    alphas[0] += max(math.floor(-sum(alphas)) + 1, 0)
+    return QDivisor.of(points, alphas)
+
+
+class TestGenericConfigurations:
+    """The differential referees: on generic configurations QQ and
+    GF(2^61 - 1) give the same presentation degrees, and every emitted
+    relation vanishes on the generator sections."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(_generic_divisors())
+    def test_relations_vanish_and_large_prime_agrees(self, D):
+        window = min(degree_bounds(D)[1], 12)
+        degrees = []
+        for field in (QQ, GFBIG):
+            gens = minimal_generators(D, field, window + 1)
+            rels = relation_ideal(D, field, gens, window)
+            assert all(relation_evaluates_to_zero(D, field, gens, r) for r in rels)
+            degrees.append((gen_degrees(gens), sorted(r.degree for r in rels)))
+        assert degrees[0] == degrees[1]
 
 
 class TestStabilityScan:
