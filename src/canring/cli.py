@@ -282,7 +282,8 @@ def cmd_oracle(args) -> int:
         raise CanringError(f"an oracle window of {window} compares no degree; it must be 2 or more")
     # the oracle first: its size guard refuses before any engine work
     oracle = brute_force_oracle(D, field, window)
-    gens = minimal_generators(D, field, min(window, degree_bounds(D)[0]) if D.degree > 0 else window)
+    top = window + 1  # generators through the window, as the oracle picks them
+    gens = minimal_generators(D, field, min(top, degree_bounds(D)[0]) if D.degree > 0 else top)
     engine = (
         sorted(g.degree for g in gens),
         minimal_relation_degrees(D, field, gens, window),

@@ -715,18 +715,20 @@ def brute_force_oracle(
     up_to: int,
 ) -> tuple[list[int], list[int]]:
     """Recompute generator and minimal-relation degree multisets from
-    scratch: pregenerated spans by naive section products, candidate
-    monomials in plain lexicographic order, one-shot rank computations.
+    scratch, generators and relations through up_to, in one degreewise
+    pass: naive section products, candidate monomials in plain
+    lexicographic order, one-shot rank computations.
 
-    Each exact computation runs once.  The product of basis monomials of
-    degrees c and d - c is the degree-d monomial of their summed exponents,
-    so the pregenerated span takes one product per distinct sum.  A
-    monomial in the generators is rendered once, as its parent (the last
-    nonzero exponent lowered by one) times that generator, from a memo
-    local to the call; this is the left-to-right product order of the
-    generators.  The sections of degree d span S_d exactly when the
-    relation kernel has dimension #monomials - dim S_d (rank-nullity), so
-    no separate rank is taken.
+    The monomials in the generators found so far are words, nondecreasing
+    tuples of generator indices: those of degree d are w + (k,), w a word
+    of degree d - w_k with last index at most k, each rendered once as the
+    section of w (from a memo local to the call) times generator k.  Every
+    lower degree is spanned, so the words of degree d span sum_c S_c
+    S_{d-c}, of rank #words - dim of their relation kernel (rank-nullity).
+    Where that is short of dim S_d, the basis monomials are tried in order,
+    each with a fresh rank of the word rows plus the candidate.  The
+    minimal relations are the kernel modulo the lower kernels shifted by
+    one generator (x_k w: the word with k inserted).
 
     Only meant for small instances; refuses anything with a graded piece
     of dimension above 40 at or below the requested degree.
@@ -736,76 +738,47 @@ def brute_force_oracle(
         raise OversizeError(f"graded pieces exceed dimension 40 below {up_to}")
 
     gens: list[tuple[int, Section]] = []  # (degree, section)
-    gen_degrees: list[int] = []
-    for d in range(1, up_to):
-        dim = real.dim(d)
-        if dim == 0:
+    words: dict[int, dict[tuple[int, ...], Section]] = {}  # sections by word, by degree
+    kernels: dict[int, list[list]] = {}  # (word, coefficient) terms by degree
+    rel_degrees: list[int] = []
+    for d in range(1, up_to + 1):
+        level = words[d] = {}
+        for k, (gd, gsec) in enumerate(gens):
+            for w, sec in words.get(d - gd, {}).items():
+                if w[-1] <= k:
+                    level[w + (k,)] = real.multiply(d - gd, sec, gd, gsec)
+        ws = list(level)
+        sections = [_values(field, *sec) for sec in level.values()]
+        transpose = ExactMatrix(field, [list(col) for col in zip(*sections)], ncols=len(ws))
+        kern = kernel_basis(transpose) if ws else []
+        kernels[d] = [[(w, c) for w, c in zip(ws, vec) if c] for vec in kern]
+        if kern:
+            index = {w: i for i, w in enumerate(ws)}
+            shifted_rows = []
+            for k, (gd, _) in enumerate(gens):
+                for terms in kernels.get(d - gd, []):
+                    row = [field.zero] * len(ws)
+                    for w, coeff in terms:
+                        target = index[tuple(sorted(w + (k,)))]
+                        row[target] = field.add(row[target], coeff)
+                    shifted_rows.append(row)
+            count = len(kern) - rank(ExactMatrix(field, shifted_rows, ncols=len(ws)))
+            rel_degrees.extend([d] * count)
+
+        current, dim = len(ws) - len(kern), real.dim(d)
+        if current == dim:
             continue
-        products = {}  # by the summed exponents of the two factors
-        for c in range(1, d // 2 + 1):
-            for mu, u in zip(real.basis(c), real.basis_sections(c)):
-                for mv, v in zip(real.basis(d - c), real.basis_sections(d - c)):
-                    key = tuple([x + y for x, y in zip(mu.c, mv.c)])
-                    if key not in products:
-                        products[key] = real.multiply(c, u, d - c, v)[0]
-        rows = list(products.values())
-        width = real.r(d) + 1
-        pre_rank = rank(ExactMatrix(field, rows, ncols=width))
-        if pre_rank == dim:
-            continue
-        candidates = sorted(
-            zip(real.basis(d), real.basis_sections(d)), key=lambda p: p[0].c
-        )
-        current = pre_rank
-        for _, vec in candidates:
+        rows, width = [row for row, _ in level.values()], real.r(d) + 1
+        for _, vec in sorted(zip(real.basis(d), real.basis_sections(d)), key=lambda p: p[0].c):
             trial = rows + [vec[0]]
             new_rank = rank(ExactMatrix(field, trial, ncols=width))
             if new_rank > current:
-                rows = trial
-                current = new_rank
+                rows, current = trial, new_rank
+                level[(len(gens),)] = vec
                 gens.append((d, vec))
-                gen_degrees.append(d)
                 if current == dim:
                     break
         if current != dim:
             raise AssertionError(f"oracle failed to span degree {d}")
 
-    weights = [d for d, _ in gens]
-    zero = (0,) * len(gens)
-    memo: dict[tuple[int, ...], Section] = {zero: ([1], 1)}  # sections by exponents
-    rel_degrees: list[int] = []
-    monomials: dict[int, list[tuple]] = {}
-    kernels: dict[int, list[list]] = {}
-    for d in range(2, up_to + 1):
-        exps = monomials[d] = sorted(_weighted_exponents(weights, d))
-        if not exps:
-            continue
-        for e in exps:
-            k = max(i for i, x in enumerate(e) if x)
-            parent = e[:k] + (e[k] - 1,) + e[k + 1 :]
-            gd, gvec = gens[k]
-            if parent not in memo:  # a generator of degree 1: the loop starts at 2
-                memo[parent] = real.multiply(0, memo[zero], 1, gens[parent.index(1)][1])
-            memo[e] = real.multiply(d - gd, memo[parent], gd, gvec)
-        sections = [_values(field, *memo[e]) for e in exps]
-        transpose = ExactMatrix(field, [list(col) for col in zip(*sections)], ncols=len(exps))
-        kern = kernel_basis(transpose)
-        if len(exps) - len(kern) != real.dim(d):
-            raise GenerationError(f"oracle generators do not span degree {d}")
-        kernels[d] = kern
-        if not kern:
-            continue
-        shifted_rows = []
-        index = {e: i for i, e in enumerate(exps)}
-        for k, (gd, _) in enumerate(gens):
-            for vec in kernels.get(d - gd, []):
-                row = [field.zero] * len(exps)
-                for coeff, le in zip(vec, monomials[d - gd]):
-                    if coeff:
-                        target = le[:k] + (le[k] + 1,) + le[k + 1 :]
-                        row[index[target]] = field.add(row[index[target]], coeff)
-                shifted_rows.append(row)
-        count = len(kern) - rank(ExactMatrix(field, shifted_rows, ncols=len(exps)))
-        rel_degrees.extend([d] * count)
-
-    return sorted(gen_degrees), sorted(rel_degrees)
+    return [d for d, _ in gens], rel_degrees

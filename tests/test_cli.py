@@ -302,6 +302,16 @@ class TestOracle:
         code, out, _ = run(capsys, "oracle", f"--alphas={alphas}")
         assert (code, out) == (0, "MATCH\n")
 
+    def test_generator_at_the_window_top(self, capsys):
+        # 1/2,1/3 has generators in degrees 1, 2 and 3
+        code, out, _ = run(capsys, "oracle", "--alphas=1/2,1/3", "--max-degree", "3")
+        assert (code, out) == (0, "MATCH\n")
+        code, out, _ = run(capsys, "oracle", "--alphas=13/5", "--max-degree", "5", "--json")
+        assert code == 0
+        report = json.loads(out)
+        assert report["match"] is True
+        assert report["engine"]["generators"] == report["oracle"]["generators"] == [1, 1, 1, 2, 5]
+
     def test_size_guard_refuses_before_engine_work(self, capsys, monkeypatch):
         def engine(*args, **kwargs):
             raise AssertionError("the engine ran before the oracle's size guard")

@@ -856,7 +856,8 @@ class TestOracle:
     @settings(max_examples=30, deadline=None)
     @given(case=_split_cases(), d=st.integers(2, 9))
     def test_split_products_render_summed_monomials(self, case, d):
-        # why the oracle forms one product per distinct summed exponent vector
+        # a product of basis sections is the section of the summed monomial,
+        # equal to the naive product of linear factors
         field, real = case
         width = real.r(d) + 1
         for c in range(1, d // 2 + 1):
@@ -884,7 +885,20 @@ class TestOracle:
         assert len(every) == sum(
             real.dim(c) * real.dim(d - c) for c in range(1, d // 2 + 1)
         )
-        assert span_rank(field, list(distinct.values()), width) == span_rank(field, every, width)
+        pregenerated = span_rank(field, every, width)
+        assert span_rank(field, list(distinct.values()), width) == pregenerated
+        # the oracle's reading: the monomials in the generators below d,
+        # rendered by naive products, span the same
+        gens = [(g.degree, _cleared(g.section))
+                for g in minimal_generators(real.divisor, field, d)]
+        monomials = [
+            functools.reduce(lambda a, b: (a[0] + b[0], real.multiply(*a, *b)), word)[1]
+            for length in range(2, d + 1)
+            for word in itertools.combinations_with_replacement(gens, length)
+            if sum(w for w, _ in word) == d
+        ]
+        rows = [field_values(field, s) for s in monomials]
+        assert span_rank(field, rows, width) == pregenerated
 
     @pytest.mark.parametrize("field", [QQ, GF7, GFBIG], ids=str)
     @pytest.mark.parametrize(
@@ -910,11 +924,42 @@ class TestOracle:
         assert brute_force_oracle(D, field, window) == degrees
 
     @pytest.mark.parametrize("field", [QQ, GF7, GFBIG], ids=str)
-    def test_missing_generator_fails_the_kernel_count(self, field):
-        # generators are picked below the window, spans are checked through
-        # it: degree 5 of 13/5 needs a generator of its own
-        with pytest.raises(GenerationError, match="oracle generators do not span degree 5"):
-            brute_force_oracle(QDivisor.of(["inf"], [F("13/5")]), field, 5)
+    def test_generator_at_the_window_top(self, field):
+        # degree 5 of 13/5 needs a generator of its own: the oracle picks
+        # generators through the window, as it checks relations
+        D = QDivisor.of(["inf"], [F("13/5")])
+        degrees = ([1, 1, 1, 2, 5], [2, 3, 3])
+        assert brute_force_oracle(D, field, 5) == degrees
+        gens = minimal_generators(D, field, 6)
+        assert (gen_degrees(gens), minimal_relation_degrees(D, field, gens, 5)) == degrees
+
+    def test_unspanned_degree_is_an_internal_error(self, monkeypatch):
+        basis_sections = _Realization.basis_sections
+        monkeypatch.setattr(
+            _Realization, "basis_sections", lambda self, d: basis_sections(self, d)[:-1]
+        )
+        with pytest.raises(AssertionError, match="oracle failed to span degree 1"):
+            brute_force_oracle(QDivisor.of(["inf"], [F("13/5")]), QQ, 5)
+
+    def test_uses_no_engine_machinery(self, monkeypatch):
+        def engine(*args, **kwargs):
+            raise AssertionError("the oracle used the engine")
+
+        for owner, name in [
+            (RowBasis, "add"),
+            (TrackingRowBasis, "add"),
+            (SparseRowBasis, "add"),
+            (_MonomialEvaluator, "section"),
+            (presentation, "_pregen_subsets"),
+            (presentation, "_standard_pass"),
+            (presentation, "_weighted_exponents"),
+        ]:
+            monkeypatch.setattr(owner, name, engine)
+        assert brute_force_oracle(D235, QQ, 35) == ([6, 10, 15], [30])
+        heavy = QDivisor.of([0, 1, 2], [F("2/3"), F("1/3"), F("-1/4")])
+        assert brute_force_oracle(heavy, GFBIG, 15) == (
+            [2, 3, 3, 3, 4, 4], [6, 6, 6, 6, 7, 7, 7, 7, 8, 8]
+        )
 
 
 @st.composite
