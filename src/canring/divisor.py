@@ -111,30 +111,18 @@ def graded_dim(D: QDivisor, d: int) -> int:
     return max(sum(floor_divisor(D, d)) + 1, 0)
 
 
-_GHOST_CANDIDATES = [None, 0, 1, -1, 2, -2, 3, -3]
-
-
-def with_ghost_point(D: QDivisor) -> QDivisor:
-    """Append one coefficient-zero point at an unused location."""
-    used = set(D.points)
-    for cand in _GHOST_CANDIDATES:
-        pt = PointP1.of(cand)
-        if pt not in used:
-            return QDivisor(D.points + (pt,), D.alphas + (Fraction(0),))
-    k = 4
-    while PointP1.of(k) in used:
-        k += 1
-    return QDivisor(D.points + (PointP1.of(k),), D.alphas + (Fraction(0),))
-
-
 def padded(D: QDivisor) -> QDivisor:
-    """The divisor itself for n >= 2; a one-point divisor gains a ghost point.
+    """The divisor itself for n >= 2; a one-point divisor gains a ghost
+    point of coefficient 0 at inf, or at 0 when its point is inf.
 
     The exponent-vector combinatorics (sum of exponents = 0) needs at least
     two points to say anything, so one-point divisors are handled through
     this normalization everywhere downstream.
     """
-    return D if D.n >= 2 else with_ghost_point(D)
+    if D.n >= 2:
+        return D
+    ghost = PointP1.of(0 if D.points[0].is_infinity else None)
+    return QDivisor(D.points + (ghost,), D.alphas + (Fraction(0),))
 
 
 def _require_positive_degree(D: QDivisor) -> None:

@@ -129,15 +129,14 @@ def _values(field: FieldSpec, row: Sequence[int], den: int) -> list:
 
 
 class _Realization:
-    """A divisor with its points embedded in a concrete field."""
+    """A divisor with its points embedded in a concrete field; every row of
+    a graded piece is rendered by render_exponents."""
 
     def __init__(self, D: QDivisor, field: FieldSpec):
         self.divisor = padded(D)
         self.field = field
         self._floors: dict[int, list[int]] = {}
         self._r: dict[int, int] = {}  # sum of the floors, stored with them
-        self._bases: dict[int, list[GradedMonomial]] = {}
-        self._sections: dict[int, list[Section]] = {}
         self._denominators: list[int] = []  # q_i, or 0 at an infinite point
         self._powers: list[list[list[int]]] = []  # (q_i t - a_i)^k by k, grown on demand
         p = field.characteristic
@@ -171,18 +170,14 @@ class _Realization:
         return max(self.r(d) + 1, 0)
 
     def basis(self, d: int) -> list[GradedMonomial]:
-        if d not in self._bases:
-            self._bases[d] = monomial_basis(self.divisor, d)
-        return self._bases[d]
+        return monomial_basis(self.divisor, d)
 
     def _power(self, i: int, k: int) -> list[int]:
-        """(q_i t - a_i)^k; the constant 1 at an infinite point."""
+        """(q_i t - a_i)^k at a finite point."""
         table = self._powers[i]
-        if self._denominators[i]:
-            while len(table) <= k:
-                table.append(_poly_mul(self.field, table[-1], table[1]))
-            return table[k]
-        return table[0]
+        while len(table) <= k:
+            table.append(_poly_mul(self.field, table[-1], table[1]))
+        return table[k]
 
     def _product(self, poly: list[int], exponents: Sequence[int]) -> tuple[list[int], int]:
         """poly times prod_i (q_i t - a_i)^(g_i), with prod_i q_i^(g_i)."""
@@ -211,17 +206,6 @@ class _Realization:
         """Coefficients of prod over finite points of (t - p_i)^(g_i)."""
         return self._to_field(*self._product([1], exponents), width)
 
-    def render(self, mono: GradedMonomial) -> Section:
-        b = self.floors(mono.d)
-        return self.render_exponents(
-            [ci + bi for ci, bi in zip(mono.c, b)], self.r(mono.d) + 1
-        )
-
-    def basis_sections(self, d: int) -> list[Section]:
-        if d not in self._sections:
-            self._sections[d] = [self.render(m) for m in self.basis(d)]
-        return self._sections[d]
-
     def multiply(self, d1: int, s1: Section, d2: int, s2: Section) -> Section:
         """Product of sections, expressed in the coordinates of degree d1+d2."""
         d = d1 + d2
@@ -233,29 +217,22 @@ class _Realization:
         )
         return self._to_field(poly, den1 * den2 * excess_den, self.r(d) + 1)
 
-    def defect_sections(self, d: int, subset: frozenset[int]) -> list[list[int]]:
-        """Spanning rows of u^d H^0(floor(dD) - sum_{i in subset} P_i) in
-        degree-d coordinates, each an integer multiple of a section; empty
-        when that space is zero."""
-        b = self.floors(d)
+    def defect_sections(self, d: int, subset: frozenset[int]) -> list[Section]:
+        """A basis of V_A = u^d H^0(floor(dD) - sum_{i in A} P_i), A = subset,
+        in degree-d coordinates, empty when it is zero: with e = r(d) - |A|
+        and g the indicator of A, row k = 0..e renders g + (k, e - k, 0, ...),
+        vanishing to order g_0 + k at the first point."""
         e = self.r(d) - len(subset)
-        if e < 0:
-            return []
-        width = self.r(d) + 1
-        base, _ = self._product(
-            [1], [1 if i in subset and i > 1 else 0 for i in range(len(b))]
-        )
-        g0, g1 = int(0 in subset), int(1 in subset)
-        out = []
-        for k in range(e + 1):
-            row = _poly_mul(self.field, base, self._power(0, g0 + k))
-            row = _poly_mul(self.field, row, self._power(1, g1 + e - k))
-            out.append(row + [0] * (width - len(row)))
-        return out
+        g = [int(i in subset) for i in range(self.divisor.n)]
+        return [
+            self.render_exponents([g[0] + k, g[1] + e - k, *g[2:]], self.r(d) + 1)
+            for k in range(e + 1)
+        ]
 
-    def marked_order(self, mono: GradedMonomial) -> int:
-        """Vanishing order at the first point, as a section of floor(dD)."""
-        return mono.c[0] + self.floors(mono.d)[0]
+    def basis_sections(self, d: int) -> list[Section]:
+        """The monomial basis of S_d, which pins every later point at its
+        floor: the defect family of the empty subset, in the same order."""
+        return self.defect_sections(d, frozenset())
 
 
 def _pregen_subsets(real: _Realization, d: int) -> Optional[set[frozenset[int]]]:
@@ -355,18 +332,16 @@ def minimal_generators(
             continue  # certified: the products fill the graded piece
         span = RowBasis(field)
         for A in sorted(subsets, key=sorted):
-            for vec in real.defect_sections(d, A):
-                span.add(vec)
+            for row, _ in real.defect_sections(d, A):
+                span.add(row)
         if span.rank == dim:
             continue
-        # reversed: the basis lists strictly increasing orders at the first point
-        for mono, (row, den) in zip(reversed(real.basis(d)), reversed(real.basis_sections(d))):
+        basis, sections = real.basis(d), real.basis_sections(d)
+        # basis element k vanishes to order k at the first point
+        for k in reversed(range(dim)):
+            row, den = sections[k]
             if span.add(row):
-                found.append(
-                    GeneratorRecord(
-                        d, mono, tuple(_values(field, row, den)), real.marked_order(mono)
-                    )
-                )
+                found.append(GeneratorRecord(d, basis[k], tuple(_values(field, row, den)), k))
                 if span.rank == dim:
                     break
         if span.rank != dim:
@@ -609,8 +584,8 @@ def generic_configs(
     chars: Sequence[int],
     seed: int,
 ) -> list[tuple[tuple[PointP1, ...], int]]:
-    """Deterministic pseudo-random point configurations: small distinct
-    rationals with numerator and denominator bounded by 100, re-drawn on
+    """Deterministic pseudo-random point configurations: distinct rationals
+    with numerator in -99..99 and denominator in 1..20, re-drawn on
     collision, crossed with the requested characteristics."""
     rng = random.Random(seed)
     configs = []
@@ -735,7 +710,7 @@ def brute_force_oracle(
     """
     real = _Realization(D, field)
     if any(real.dim(d) > 40 for d in range(up_to + 1)):
-        raise OversizeError(f"graded pieces exceed dimension 40 below {up_to}")
+        raise OversizeError(f"graded pieces exceed dimension 40 at or below {up_to}")
 
     gens: list[tuple[int, Section]] = []  # (degree, section)
     words: dict[int, dict[tuple[int, ...], Section]] = {}  # sections by word, by degree

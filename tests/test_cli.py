@@ -319,9 +319,9 @@ class TestOracle:
         monkeypatch.setattr(cli, "minimal_generators", engine)
         code, out, err = run(capsys, "oracle", "--alphas=1/2,1/3", "--max-degree", "800")
         assert (code, out) == (1, "")
-        assert err == "error: graded pieces exceed dimension 40 below 800\n"
+        assert err == "error: graded pieces exceed dimension 40 at or below 800\n"
 
-    @pytest.mark.parametrize("window", ["0", "1"])
+    @pytest.mark.parametrize("window", ["0"])
     def test_window_that_compares_nothing_is_an_error(self, capsys, window):
         code, out, err = run(
             capsys,
@@ -331,6 +331,19 @@ class TestOracle:
         assert code == 1
         assert out == ""
         assert err.startswith("error:")
+        assert "it must be 1 or more" in err
+
+    @pytest.mark.parametrize(
+        "alphas, degrees", [("1/2,1/3", [1]), ("13/5", [1, 1, 1])], ids=["1/2,1/3", "13/5"]
+    )
+    def test_window_one_compares_the_degree_one_generators(self, capsys, alphas, degrees):
+        args = ("oracle", f"--alphas={alphas}", "--max-degree", "1")
+        code, out, _ = run(capsys, *args, "--json")
+        assert code == 0
+        report = json.loads(out)
+        assert report["match"] is True
+        assert report["engine"]["generators"] == report["oracle"]["generators"] == degrees
+        assert run(capsys, *args)[:2] == (0, "MATCH\n")
 
 
 class TestPlumbing:

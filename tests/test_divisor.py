@@ -16,7 +16,6 @@ from canring.divisor import (
     graded_dim,
     padded,
     semigroup_count_bound,
-    with_ghost_point,
 )
 from canring.errors import CanringError, UnsupportedDivisorError
 
@@ -52,7 +51,8 @@ class TestModel:
 
     def test_ghost_point_avoids_used_spots(self):
         D = QDivisor.of(["inf"], [2])
-        assert not with_ghost_point(D).points[1].is_infinity
+        assert padded(D).points[1] == PointP1.of(0)
+        assert padded(QDivisor.of([0], [2])).points[1].is_infinity
 
 
 class TestFloorsAndDims:
