@@ -18,7 +18,7 @@ from .errors import (
     TrivialRingError,
     UnsupportedDivisorError,
 )
-from .exactla import ExactMatrix, FieldSpec, kernel_basis, row_reduce
+from .exactla import FieldSpec, kernel_basis, row_reduce
 from .conelattice import (
     ConeModel,
     GradedMonomial,
@@ -41,7 +41,6 @@ from .presentation import (
     xgen_threshold,
 )
 from .ratapprox import (
-    ApproxSequence,
     LatticeVec2,
     best_lower_approximations,
     best_upper_approximations,

@@ -17,7 +17,6 @@ from typing import Optional, Sequence
 from .conelattice import monomial_str
 from .divisor import (
     QDivisor,
-    degree_bounds,
     divisor_from_json,
     divisor_to_json,
     graded_dim,
@@ -282,8 +281,8 @@ def cmd_oracle(args) -> int:
         raise CanringError(f"an oracle window of {window} compares no degree; it must be 1 or more")
     # the oracle first: its size guard refuses before any engine work
     oracle = brute_force_oracle(D, field, window)
-    top = window + 1  # generators through the window, as the oracle picks them
-    gens = minimal_generators(D, field, min(top, degree_bounds(D)[0]) if D.degree > 0 else top)
+    # generators through the window, as the oracle picks them
+    gens = minimal_generators(D, field, min(window + 1, _default_windows(D)[0]))
     engine = (
         sorted(g.degree for g in gens),
         minimal_relation_degrees(D, field, gens, window),

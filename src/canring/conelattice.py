@@ -12,7 +12,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Optional, Sequence
 
 from .divisor import QDivisor, denominator_data, floor_divisor, padded
 from .errors import CanringError, UnsupportedDivisorError
@@ -48,10 +48,6 @@ class GradedMonomial:
     def to_json(self) -> dict:
         return {"d": self.d, "c": list(self.c)}
 
-    @staticmethod
-    def from_json(obj: dict) -> "GradedMonomial":
-        return GradedMonomial(int(obj["d"]), tuple(int(x) for x in obj["c"]))
-
 
 @dataclass(frozen=True)
 class ConeModel:
@@ -72,13 +68,24 @@ class ConeModel:
         return len(self.cube_points) + 1
 
 
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head,) + tail
+def _weighted_exponents(weights: Sequence[int], total: int) -> list[tuple[int, ...]]:
+    """All exponent tuples e with sum e_k * weights[k] = total, in
+    lexicographic order."""
+    return _exponent_tails(weights, total, ()) if weights else []
+
+
+def _exponent_tails(
+    weights: Sequence[int], total: int, prefix: tuple[int, ...]
+) -> list[tuple[int, ...]]:
+    """The tuples prefix + e with sum e_k * weights[len(prefix) + k] = total."""
+    w = weights[len(prefix)]
+    if len(prefix) == len(weights) - 1:
+        q, r = divmod(total, w)
+        return [prefix + (q,)] if r == 0 else []
+    out = []
+    for e in range(total // w + 1):
+        out += _exponent_tails(weights, total - e * w, prefix + (e,))
+    return out
 
 
 def monomial_spanning_set(D: QDivisor, d: int) -> list[GradedMonomial]:
@@ -89,10 +96,10 @@ def monomial_spanning_set(D: QDivisor, d: int) -> list[GradedMonomial]:
     r = sum(b)
     if r < 0:
         return []
-    out = []
-    for extra in _compositions(r, P.n):
-        out.append(GradedMonomial(d, tuple(e - bi for e, bi in zip(extra, b))))
-    return out
+    return [
+        GradedMonomial(d, tuple(e - bi for e, bi in zip(extra, b)))
+        for extra in _weighted_exponents([1] * P.n, r)
+    ]
 
 
 def monomial_basis(D: QDivisor, d: int) -> list[GradedMonomial]:
@@ -124,7 +131,7 @@ def build_cone_model(D: QDivisor) -> ConeModel:
         )
     P = padded(D)
     data = denominator_data(P)
-    deg = data.deg_D
+    deg = P.degree
     n = P.n
 
     rays = []

@@ -88,7 +88,6 @@ class DenominatorData:
 
     ell: int
     ell_i: tuple[int, ...]
-    deg_D: Fraction
 
 
 def denominator_data(D: QDivisor) -> DenominatorData:
@@ -98,7 +97,7 @@ def denominator_data(D: QDivisor) -> DenominatorData:
         math.lcm(*(q for j, q in enumerate(qs) if j != i)) if D.n > 1 else 1
         for i in range(D.n)
     )
-    return DenominatorData(ell, ell_i, D.degree)
+    return DenominatorData(ell, ell_i)
 
 
 def floor_divisor(D: QDivisor, d: int) -> list[int]:
@@ -157,7 +156,7 @@ def semigroup_count_bound(D: QDivisor) -> int:
     _require_positive_degree(D)
     P = padded(D)
     data = denominator_data(P)
-    count = Fraction(P.n - 1) + math.prod(data.ell_i) * data.deg_D ** (P.n - 1)
+    count = Fraction(P.n - 1) + math.prod(data.ell_i) * P.degree ** (P.n - 1)
     return math.ceil(count)
 
 

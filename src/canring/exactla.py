@@ -6,8 +6,10 @@ p.  Characteristic-0 elimination is fraction-free, over content-stripped
 integer rows: an integer row enters as it is, with only its content
 divided out.  ``RowBasis`` owns the one incremental elimination loop;
 ``TrackingRowBasis`` logs its steps and replays row expressions only for a
-dependent row's combination.  The one-shot ``row_reduce`` builds
-``Fraction``s once, at the end, and ``rank`` clears only below each pivot.
+dependent row's combination.  The one-shot ``rank``, ``row_reduce`` and
+``kernel_basis`` take the field, the rows and the column count, which a
+matrix with no rows still needs; ``row_reduce`` builds ``Fraction``s once,
+at the end, and ``rank`` clears only below each pivot.
 """
 
 from __future__ import annotations
@@ -103,36 +105,6 @@ class FieldSpec:
         return "QQ" if self.characteristic == 0 else f"GF({self.characteristic})"
 
 
-class ExactMatrix:
-    """Dense matrix with entries in a fixed exact field."""
-
-    __slots__ = ("field", "rows", "nrows", "ncols")
-
-    def __init__(self, field: FieldSpec, rows: Sequence[Sequence], ncols: Optional[int] = None):
-        self.field = field
-        self.rows = [list(r) for r in rows]
-        self.nrows = len(self.rows)
-        if self.rows:
-            widths = {len(r) for r in self.rows}
-            if len(widths) != 1:
-                raise CanringError("ragged matrix rows")
-            self.ncols = widths.pop()
-            if ncols is not None and ncols != self.ncols:
-                raise CanringError("ncols disagrees with row width")
-        else:
-            if ncols is None:
-                raise CanringError("empty matrix needs an explicit column count")
-            self.ncols = ncols
-
-    @staticmethod
-    def from_rational_rows(field: FieldSpec, rows: Sequence[Sequence]) -> "ExactMatrix":
-        return ExactMatrix(field, [[field.of(x) for x in r] for r in rows],
-                           ncols=len(rows[0]) if rows else 0)
-
-    def __repr__(self) -> str:
-        return f"ExactMatrix({self.field}, {self.nrows}x{self.ncols})"
-
-
 def _strip_content(row: list[int]) -> tuple[list[int], int]:
     """The row divided by its content, and that content (1 for a zero row)."""
     g = math.gcd(*row)
@@ -160,8 +132,11 @@ def _to_integer_row(vec: Sequence) -> tuple[list[int], int, int]:
     return row, den, content
 
 
-def _echelon(m: ExactMatrix, reduced: bool) -> tuple[list[list[int]], list[int]]:
-    """Echelon rows and pivot columns of m, all zero rows at the bottom.
+def _echelon(
+    field: FieldSpec, rows: Sequence[Sequence], ncols: int, reduced: bool
+) -> tuple[list[list[int]], list[int]]:
+    """Echelon rows and pivot columns of the matrix with these rows and
+    ncols columns, all zero rows at the bottom.
 
     QQ rows are content-stripped integer rows, eliminated fraction-free:
     row <- (piv/g) * row - (f/g) * pivot row with g = gcd(piv, f), then
@@ -169,14 +144,16 @@ def _echelon(m: ExactMatrix, reduced: bool) -> tuple[list[list[int]], list[int]]
     pivot rows normalized.  ``reduced`` clears above each pivot as well
     (Gauss-Jordan); otherwise only the rows below are cleared.
     """
-    p = m.field.characteristic
+    if any(len(r) != ncols for r in rows):
+        raise CanringError(f"every matrix row needs {ncols} entries")
+    p = field.characteristic
     if p:
-        rows = [[index(x) % p for x in r] for r in m.rows]
+        rows = [[index(x) % p for x in r] for r in rows]
     else:
-        rows = [_to_integer_row(r)[0] for r in m.rows]
+        rows = [_to_integer_row(r)[0] for r in rows]
     pivots: list[int] = []
     r = 0
-    for col in range(m.ncols):
+    for col in range(ncols):
         if r == len(rows):
             break
         pivot_row = next((i for i in range(r, len(rows)) if rows[i][col]), None)
@@ -203,32 +180,33 @@ def _echelon(m: ExactMatrix, reduced: bool) -> tuple[list[list[int]], list[int]]
     return rows, pivots
 
 
-def row_reduce(m: ExactMatrix) -> tuple[ExactMatrix, list[int]]:
+def row_reduce(
+    field: FieldSpec, rows: Sequence[Sequence], ncols: int
+) -> tuple[list[list], list[int]]:
     """Reduced row echelon form and the pivot columns, in increasing order."""
-    rows, pivots = _echelon(m, reduced=True)
-    if not m.field.characteristic:
+    rows, pivots = _echelon(field, rows, ncols, reduced=True)
+    if not field.characteristic:
         rows = [
             [Fraction(x, row[col]) for x in row] for row, col in zip(rows, pivots)
-        ] + [[Fraction(0)] * m.ncols for _ in rows[len(pivots):]]
-    return ExactMatrix(m.field, rows, m.ncols), pivots
+        ] + [[Fraction(0)] * ncols for _ in rows[len(pivots):]]
+    return rows, pivots
 
 
-def rank(m: ExactMatrix) -> int:
-    return len(_echelon(m, reduced=False)[1])
+def rank(field: FieldSpec, rows: Sequence[Sequence], ncols: int) -> int:
+    return len(_echelon(field, rows, ncols, reduced=False)[1])
 
 
-def kernel_basis(m: ExactMatrix) -> list[list]:
+def kernel_basis(field: FieldSpec, rows: Sequence[Sequence], ncols: int) -> list[list]:
     """Basis of the right kernel; empty when the matrix is injective."""
-    field = m.field
-    rref, pivots = row_reduce(m)
+    rref, pivots = row_reduce(field, rows, ncols)
     pivot_set = set(pivots)
-    free_cols = [c for c in range(m.ncols) if c not in pivot_set]
+    free_cols = [c for c in range(ncols) if c not in pivot_set]
     basis = []
     for f in free_cols:
-        vec = [field.zero] * m.ncols
+        vec = [field.zero] * ncols
         vec[f] = field.one
         for i, c in enumerate(pivots):
-            vec[c] = field.neg(rref.rows[i][f])
+            vec[c] = field.neg(rref[i][f])
         basis.append(vec)
     return basis
 

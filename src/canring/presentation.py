@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-from .conelattice import GradedMonomial, monomial_basis
+from .conelattice import GradedMonomial, _weighted_exponents, monomial_basis
 from .divisor import (
     PointP1,
     QDivisor,
@@ -49,7 +49,6 @@ from .errors import (
     UnsupportedDivisorError,
 )
 from .exactla import (
-    ExactMatrix,
     FieldSpec,
     RowBasis,
     SparseRowBasis,
@@ -358,25 +357,6 @@ def _word(e: tuple[int, ...]) -> tuple[int, ...]:
     """
     # from a list, not a generator: see _cleared on resized tuples
     return tuple([k for k, x in enumerate(e) for _ in range(x)])
-
-
-def _weighted_exponents(weights: Sequence[int], total: int) -> list[tuple[int, ...]]:
-    """All exponent tuples e with sum e_k * weights[k] = total."""
-    out: list[tuple[int, ...]] = []
-
-    def rec(idx: int, remaining: int, prefix: tuple[int, ...]) -> None:
-        if idx == len(weights) - 1:
-            q, r = divmod(remaining, weights[idx])
-            if r == 0:
-                out.append(prefix + (q,))
-            return
-        w = weights[idx]
-        for e in range(remaining // w + 1):
-            rec(idx + 1, remaining - e * w, prefix + (e,))
-
-    if weights:
-        rec(0, total, ())
-    return out
 
 
 class _MonomialEvaluator:
@@ -724,8 +704,7 @@ def brute_force_oracle(
                     level[w + (k,)] = real.multiply(d - gd, sec, gd, gsec)
         ws = list(level)
         sections = [_values(field, *sec) for sec in level.values()]
-        transpose = ExactMatrix(field, [list(col) for col in zip(*sections)], ncols=len(ws))
-        kern = kernel_basis(transpose) if ws else []
+        kern = kernel_basis(field, list(zip(*sections)), len(ws))
         kernels[d] = [[(w, c) for w, c in zip(ws, vec) if c] for vec in kern]
         if kern:
             index = {w: i for i, w in enumerate(ws)}
@@ -737,7 +716,7 @@ def brute_force_oracle(
                         target = index[tuple(sorted(w + (k,)))]
                         row[target] = field.add(row[target], coeff)
                     shifted_rows.append(row)
-            count = len(kern) - rank(ExactMatrix(field, shifted_rows, ncols=len(ws)))
+            count = len(kern) - rank(field, shifted_rows, len(ws))
             rel_degrees.extend([d] * count)
 
         current, dim = len(ws) - len(kern), real.dim(d)
@@ -746,7 +725,7 @@ def brute_force_oracle(
         rows, width = [row for row, _ in level.values()], real.r(d) + 1
         for _, vec in sorted(zip(real.basis(d), real.basis_sections(d)), key=lambda p: p[0].c):
             trial = rows + [vec[0]]
-            new_rank = rank(ExactMatrix(field, trial, ncols=width))
+            new_rank = rank(field, trial, width)
             if new_rank > current:
                 rows, current = trial, new_rank
                 level[(len(gens),)] = vec

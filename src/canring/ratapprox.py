@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence, Union
+from typing import Sequence, Union
 
 from .errors import CanringError
 
@@ -68,30 +68,6 @@ class LatticeVec2:
 def cross(u: LatticeVec2, v: LatticeVec2) -> int:
     """2D cross product; positive when v lies counterclockwise of u."""
     return u.d * v.c - u.c * v.d
-
-
-@dataclass(frozen=True)
-class ApproxSequence:
-    """A chain of best approximations, monotone in the stated direction."""
-
-    entries: tuple[Fraction, ...]
-    direction: str  # "lower" (increasing) or "upper" (decreasing)
-
-    def __post_init__(self) -> None:
-        if self.direction not in ("lower", "upper"):
-            raise CanringError(f"bad direction {self.direction!r}")
-
-    def __iter__(self) -> Iterator[Fraction]:
-        return iter(self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __getitem__(self, idx: int) -> Fraction:
-        return self.entries[idx]
-
-    def vectors(self) -> list[LatticeVec2]:
-        return [LatticeVec2.from_fraction(e) for e in self.entries]
 
 
 def _sb_between(lo: Fraction, hi: Fraction, lo_open: bool, hi_open: bool) -> Fraction:
@@ -163,7 +139,7 @@ def _next_lower(x: Fraction, alpha: Fraction) -> Fraction:
     return _sb_between(x, alpha, lo_open=True, hi_open=False)
 
 
-def best_lower_approximations(alpha: Rational, start: Rational) -> ApproxSequence:
+def best_lower_approximations(alpha: Rational, start: Rational) -> tuple[Fraction, ...]:
     """All best lower approximations of alpha in [start, alpha], increasing.
 
     ``start`` must itself be a best lower approximation; the chain always
@@ -183,10 +159,10 @@ def best_lower_approximations(alpha: Rational, start: Rational) -> ApproxSequenc
     while x != alpha:
         x = _next_lower(x, alpha)
         entries.append(x)
-    return ApproxSequence(tuple(entries), "lower")
+    return tuple(entries)
 
 
-def best_upper_approximations(beta: Rational, start: Rational) -> ApproxSequence:
+def best_upper_approximations(beta: Rational, start: Rational) -> tuple[Fraction, ...]:
     """All best upper approximations of beta in [beta, start], decreasing.
 
     A best upper approximation of beta is the negative of a best lower
@@ -195,8 +171,7 @@ def best_upper_approximations(beta: Rational, start: Rational) -> ApproxSequence
     beta, start = Fraction(beta), Fraction(start)
     if start < beta:
         raise CanringError(f"start {start} lies below target {beta}")
-    lower = best_lower_approximations(-beta, -start)
-    return ApproxSequence(tuple(-e for e in lower.entries), "upper")
+    return tuple(-e for e in best_lower_approximations(-beta, -start))
 
 
 def minus_continued_fraction(alpha: Rational) -> list[int]:
@@ -212,7 +187,7 @@ def minus_continued_fraction(alpha: Rational) -> list[int]:
     alpha = Fraction(alpha)
     if alpha <= 0:
         raise CanringError("minus continued fraction requires alpha > 0")
-    chain = best_lower_approximations(alpha, Fraction(0)).vectors()
+    chain = [LatticeVec2.from_fraction(x) for x in best_lower_approximations(alpha, 0)]
     terms = [chain[1].d]
     for i in range(1, len(chain) - 1):
         a, rem = divmod(chain[i - 1].d + chain[i + 1].d, chain[i].d)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from .errors import CanringError, TrivialRingError
+from .errors import TrivialRingError
 from .ratapprox import (
     LatticeVec2,
     Rational,
@@ -19,7 +19,6 @@ from .ratapprox import (
     cross,
     format_fraction,
     minimal_denominator_in_interval,
-    parse_fraction,
 )
 
 
@@ -150,21 +149,3 @@ def presentation_to_json(p: TwoPointPresentation) -> dict:
             {"i": r.i, "j": r.j, "h": r.h, "a": r.a, "b": r.b} for r in p.relations
         ],
     }
-
-
-def presentation_from_json(obj: dict) -> TwoPointPresentation:
-    try:
-        gens = tuple(LatticeVec2(int(d), int(c)) for d, c in obj["generators"])
-        rels = tuple(
-            TwoPointRelation(int(r["i"]), int(r["j"]), int(r["h"]), int(r["a"]), int(r["b"]))
-            for r in obj["relations"]
-        )
-        return TwoPointPresentation(
-            parse_fraction(obj["alpha"]),
-            parse_fraction(obj["beta"]),
-            gens,
-            int(obj["offset"]),
-            rels,
-        )
-    except (KeyError, TypeError) as exc:
-        raise CanringError(f"malformed presentation object: {exc}") from exc

@@ -20,7 +20,7 @@ from canring.divisor import (
     semigroup_count_bound,
 )
 from canring.errors import OversizeError
-from canring.exactla import ExactMatrix, FieldSpec, rank
+from canring.exactla import FieldSpec, rank
 from canring.presentation import (
     brute_force_oracle,
     generic_configs,
@@ -32,6 +32,7 @@ from canring.presentation import (
     stability_scan,
 )
 from canring.ratapprox import (
+    LatticeVec2,
     best_lower_approximations,
     cross,
     minus_continued_fraction,
@@ -228,8 +229,8 @@ def test_criterion_04_bounds_audit_100_random_divisors():
 def test_criterion_05_characteristic_two_example():
     # 1, t^2, (t-1)^2 as rows over the monomial basis 1, t, t^2
     rows = [[1, 0, 0], [0, 0, 1], [1, -2, 1]]
-    rank2 = rank(ExactMatrix.from_rational_rows(FieldSpec(2), rows))
-    rank0 = rank(ExactMatrix.from_rational_rows(QQ, rows))
+    rank2 = rank(FieldSpec(2), rows, 3)
+    rank0 = rank(QQ, rows, 3)
     configs = generic_configs(3, 10, [0, 2, 3, 5], seed=505)
     report = stability_scan([2, 0, 0], configs)
     multisets = {
@@ -248,7 +249,7 @@ def test_criterion_05_characteristic_two_example():
 def test_criterion_06_harmonic_example():
     def triple_rank(lam):
         rows = [[1, 0, 0], [0, 0, 1], [lam, -(1 + lam), 1]]  # 1, t^2, (t-1)(t-lam)
-        return rank(ExactMatrix.from_rational_rows(QQ, rows))
+        return rank(QQ, rows, 3)
 
     degenerate_only_at_minus_one = triple_rank(-1) == 2 and all(
         triple_rank(lam) == 3 for lam in (2, 5, -3, Fraction(1, 2))
@@ -399,7 +400,8 @@ def test_criterion_09_property_suites():
     unimodular_ok = True
     for _ in range(1000):
         alpha = Fraction(rng.randint(-400, 400), rng.randint(1, 200))
-        vecs = best_lower_approximations(alpha, math.floor(alpha)).vectors()
+        chain = best_lower_approximations(alpha, math.floor(alpha))
+        vecs = [LatticeVec2.from_fraction(x) for x in chain]
         if any(cross(u, v) != 1 for u, v in zip(vecs, vecs[1:])):
             unimodular_ok = False
             break

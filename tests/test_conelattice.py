@@ -200,7 +200,3 @@ class TestGradedMonomial:
         GradedMonomial(6, (3, -2, -1)).validate(D235)
         with pytest.raises(CanringError):
             GradedMonomial(6, (4, -3, -1)).validate(D235)
-
-    def test_json_roundtrip(self):
-        m = GradedMonomial(6, (3, -2, -1))
-        assert GradedMonomial.from_json(m.to_json()) == m

@@ -26,7 +26,6 @@ from canring.errors import (
     UnsupportedDivisorError,
 )
 from canring.exactla import (
-    ExactMatrix,
     FieldSpec,
     RowBasis,
     SparseRowBasis,
@@ -92,10 +91,11 @@ def field_values(field, section):
 
 
 def section_matrix(D, field, d):
-    """The degree-d basis sections of D as rows of an exact matrix."""
+    """The degree-d basis sections of D as (field, rows, ncols), the
+    arguments of rank."""
     real = _Realization(D, field)
     rows = [field_values(field, s) for s in real.basis_sections(d)]
-    return ExactMatrix(field, rows, ncols=max(real.r(d) + 1, 0))
+    return field, rows, max(real.r(d) + 1, 0)
 
 
 class TestSectionSpace:
@@ -104,10 +104,10 @@ class TestSectionSpace:
     def test_235_degree30(self):
         # deg floor(30 D) = -15 + 10 + 6 = 1, so sections are linear
         # polynomials: a 2 x 2 matrix of full rank.
-        m = section_matrix(D235, QQ, 30)
-        assert m.nrows == 2
-        assert m.ncols == 2
-        assert rank(m) == 2
+        field, rows, ncols = section_matrix(D235, QQ, 30)
+        assert len(rows) == 2
+        assert ncols == 2
+        assert rank(field, rows, ncols) == 2
 
     def test_empty_piece(self):
         real = _Realization(D235, QQ)
@@ -116,7 +116,7 @@ class TestSectionSpace:
 
     def test_inflated_double_point(self):
         D = QDivisor.of(["inf", 0, 1], [2, 0, 0])
-        assert rank(section_matrix(D, QQ, 1)) == 3
+        assert rank(*section_matrix(D, QQ, 1)) == 3
 
     def test_rank_equals_dim_on_samples(self):
         rng = random.Random(3)
@@ -128,7 +128,7 @@ class TestSectionSpace:
             pts = ["inf", 0, 1, -1][:n]
             D = QDivisor.of(pts, alphas)
             d = rng.randint(0, 20)
-            assert rank(section_matrix(D, QQ, d)) == graded_dim(D, d)
+            assert rank(*section_matrix(D, QQ, d)) == graded_dim(D, d)
 
     def test_spanning_set_rank_equals_basis_rank(self):
         # every spanning monomial reduces to the pinned basis: the spanning
@@ -148,9 +148,7 @@ class TestSectionSpace:
                 ]
                 if not span_rows:
                     continue
-                assert rank(ExactMatrix(field, span_rows, ncols=width)) == graded_dim(
-                    D235, d
-                )
+                assert rank(field, span_rows, width) == graded_dim(D235, d)
 
     def test_collision_mod_p(self):
         D = QDivisor.of([0, 7], [F("1/2"), F("1/2")])
@@ -187,7 +185,7 @@ def padded_to(poly, width, field):
 
 
 def span_rank(field, rows, width):
-    return rank(ExactMatrix(field, [[field.of(x) for x in r] for r in rows], ncols=width))
+    return rank(field, [[field.of(x) for x in r] for r in rows], width)
 
 
 _RENDER_POINTS = st.one_of(
@@ -707,7 +705,7 @@ class TestGroebner:
             seen_rank = 0
             for e in exps:
                 rows.append(field_values(QQ, ev.section(e)))
-                new_rank = len(row_reduce(ExactMatrix(QQ, rows, ncols=real.r(d) + 1))[1])
+                new_rank = len(row_reduce(QQ, rows, real.r(d) + 1)[1])
                 if new_rank == seen_rank:
                     brute_hits.append(e)
                 seen_rank = new_rank

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from canring.errors import CanringError
 from canring.ratapprox import (
-    ApproxSequence,
     LatticeVec2,
     best_lower_approximations,
     best_upper_approximations,
@@ -84,7 +83,7 @@ class TestBestLower:
     @given(alpha=st.fractions(min_value=-50, max_value=50, max_denominator=200))
     def test_unimodularity(self, alpha):
         start = Fraction(math.floor(alpha))
-        vecs = best_lower_approximations(alpha, start).vectors()
+        vecs = [LatticeVec2.from_fraction(x) for x in best_lower_approximations(alpha, start)]
         for u, v in zip(vecs, vecs[1:]):
             assert cross(u, v) == 1
 
@@ -130,7 +129,7 @@ class TestBestUpper:
     @given(beta=rationals)
     def test_upper_unimodularity(self, beta):
         start = Fraction(math.ceil(beta))
-        vecs = best_upper_approximations(beta, start).vectors()
+        vecs = [LatticeVec2.from_fraction(x) for x in best_upper_approximations(beta, start)]
         for u, v in zip(vecs, vecs[1:]):
             assert cross(u, v) == -1
 
@@ -226,7 +225,3 @@ class TestLatticeVec2:
         v = LatticeVec2(2, 5) + LatticeVec2(1, 0)
         assert (v.d, v.c) == (3, 5)
         assert LatticeVec2(2, 5).slope == F("5/2")
-
-    def test_sequence_direction_validated(self):
-        with pytest.raises(CanringError):
-            ApproxSequence((F(0),), "sideways")
