@@ -281,9 +281,10 @@ class TrackingRowBasis(RowBasis):
     A dependent add replays the pending origins in storage order, which
     works because a row's steps name only rows stored before it, and then
     its own steps.  Stored rows never change, so a late replay gives the
-    expressions that updating them at every step would.  A QQ expression is (num, den), a dict tag -> int over one
-    positive int, cancelled by their gcd after each step; a GF(p) one is a
-    dict tag -> residue, normalized with its row.
+    expressions that updating them at every step would.  A QQ expression
+    is (num, den), a dict tag -> int over one positive int, cancelled by
+    their gcd after each step; a GF(p) one is a dict tag -> residue,
+    normalized with its row.
     """
 
     __slots__ = ("_pending", "_exprs")

@@ -15,10 +15,9 @@ integer row over one positive denominator, normalised so that
 gcd(den, *row) == 1, in the coordinates of the monic factors (t - p_i); in
 GF(p) row holds residues and den is 1.  Rendering, products and
 elimination stay on these rows, since rank and span ignore the scale of a
-row.  Fractions are built only where a value is read: the generator
-records, the relation coefficients (a combination of the rows, times the
-denominator of each tag), the substitution check and the oracle's
-relation kernel.
+row.  Fractions are built only where a value is read: the relation
+coefficients (a combination of the rows, times the denominator of each
+tag), the substitution check and the oracle's relation kernel.
 
 Relations and Groebner leading terms come from one degreewise pass that
 renders only the standard monomials and the new leading terms.
@@ -60,13 +59,11 @@ from .ratapprox import format_fraction
 
 @dataclass(frozen=True)
 class GeneratorRecord:
-    """A minimal generator: its degree, monomial, rendered section, and
-    vanishing order at the marked (first) point of the divisor."""
+    """A minimal generator: its degree and its monomial u^d prod t_i^{c_i},
+    which fixes its section in every field (_Realization.render_monomial)."""
 
     degree: int
     monomial: GradedMonomial
-    section: tuple
-    order_at_marked_point: int
 
 
 @dataclass(frozen=True)
@@ -109,15 +106,6 @@ def _poly_mul(field: FieldSpec, a: Sequence[int], b: Sequence[int]) -> list[int]
 
 
 Section = tuple[list[int], int]  # (row, den), see the module docstring
-
-
-def _cleared(vec: Sequence) -> Section:
-    """The section of a vector of field values: its integer numerators over
-    their common denominator, which shares no prime with all of them."""
-    # unpack a list, not a generator: CPython builds a generator's argument
-    # tuple by resizing, which piles tuples up in its per-size free lists
-    den = math.lcm(*[c.denominator for c in vec])
-    return [c.numerator * (den // c.denominator) for c in vec], den
 
 
 def _values(field: FieldSpec, row: Sequence[int], den: int) -> list:
@@ -204,6 +192,12 @@ class _Realization:
     def render_exponents(self, exponents: Sequence[int], width: int) -> Section:
         """Coefficients of prod over finite points of (t - p_i)^(g_i)."""
         return self._to_field(*self._product([1], exponents), width)
+
+    def render_monomial(self, mono: GradedMonomial) -> Section:
+        """The section of u^d prod t_i^{c_i}: exponents c + floor(dD), the
+        row of basis_sections(d) that the monomial indexes."""
+        floors = self.floors(mono.d)
+        return self.render_exponents([c + b for c, b in zip(mono.c, floors)], self.r(mono.d) + 1)
 
     def multiply(self, d1: int, s1: Section, d2: int, s2: Section) -> Section:
         """Product of sections, expressed in the coordinates of degree d1+d2."""
@@ -338,9 +332,8 @@ def minimal_generators(
         basis, sections = real.basis(d), real.basis_sections(d)
         # basis element k vanishes to order k at the first point
         for k in reversed(range(dim)):
-            row, den = sections[k]
-            if span.add(row):
-                found.append(GeneratorRecord(d, basis[k], tuple(_values(field, row, den)), k))
+            if span.add(sections[k][0]):
+                found.append(GeneratorRecord(d, basis[k]))
                 if span.rank == dim:
                     break
         if span.rank != dim:
@@ -355,7 +348,8 @@ def _word(e: tuple[int, ...]) -> tuple[int, ...]:
     with multiplicity; tuple comparison is dictionary order, a proper
     prefix coming first.
     """
-    # from a list, not a generator: see _cleared on resized tuples
+    # from a list, not a generator: CPython builds a generator's argument
+    # tuple by resizing, which piles tuples up in its per-size free lists
     return tuple([k for k, x in enumerate(e) for _ in range(x)])
 
 
@@ -366,7 +360,7 @@ class _MonomialEvaluator:
     def __init__(self, real: _Realization, gens: Sequence[GeneratorRecord]):
         self.real = real
         self.weights = [g.degree for g in gens]
-        self._gen_sections = [_cleared(g.section) for g in gens]  # cleared once
+        self._gen_sections = [real.render_monomial(g.monomial) for g in gens]
         self._memo: dict[tuple[int, ...], Section] = {tuple([0] * len(gens)): ([1], 1)}
 
     def degree(self, exps: tuple[int, ...]) -> int:
@@ -385,12 +379,6 @@ class _MonomialEvaluator:
         self._memo[exps] = vec
         return vec
 
-    def rescaled(self, combo: dict) -> dict:
-        """A vanishing combination of memoized rows as one of their sections:
-        the row of a section over den is den times the section."""
-        memo = self._memo
-        return {t: c * den if (den := memo[t][1]) != 1 else c for t, c in combo.items()}
-
 
 def _standard_pass(
     D: QDivisor,
@@ -403,18 +391,21 @@ def _standard_pass(
     candidates of degree d are x_k s, s standard of degree d - w_k and k at
     most its first variable, in word order; those that a lower leading term
     divides are skipped unrendered, the rest go to one TrackingRowBasis.
-    Yields d, dim I_d = #monomials(d) - dim S_d and the new (leading term,
-    relation) pairs of each degree that has any.
+    The pass keeps the section of each standard monomial, so a candidate is
+    one product, generator k times the section of s, and a relation is
+    rescaled from its rows to its monomials by the denominators of those
+    sections.  Yields d, dim I_d = #monomials(d) - dim S_d and the new
+    (leading term, relation) pairs of each degree that has any.
     """
     real = _Realization(D, field)
-    ev = _MonomialEvaluator(real, gens)
+    weights = [g.degree for g in gens]
+    gen_sections = [real.render_monomial(g.monomial) for g in gens]
     count = [1] + [0] * up_to  # monomials of each degree (coin change)
-    for w in ev.weights:
+    for w in weights:
         for d in range(w, up_to + 1):
             count[d] += count[d - w]
-    zero = (0,) * len(gens)
-    standard = {0: [zero]}  # by degree, in word order
-    known = {zero}
+    # the section of each standard monomial, by degree, in word order
+    standard: dict[int, dict[tuple[int, ...], Section]] = {0: {(0,) * len(gens): ([1], 1)}}
     for d in range(1, up_to + 1):
         dim = real.dim(d)
         if not count[d]:
@@ -425,22 +416,26 @@ def _standard_pass(
             continue
         if dim <= 0:
             raise AssertionError("monomials exist in a zero graded piece")
-        tracker = TrackingRowBasis(field)
-        standard[d], new = [], []
-        for k, w in enumerate(ev.weights):
-            for s in standard.get(d - w, ()):
+        tracker, new = TrackingRowBasis(field), []
+        level = standard[d] = {}
+        for k, w in enumerate(weights):
+            for s, s_section in standard.get(d - w, {}).items():
                 e = s[:k] + (s[k] + 1,) + s[k + 1 :]
                 if any(s[:k]) or any(
-                    x and e[:j] + (x - 1,) + e[j + 1 :] not in known
+                    x and e[:j] + (x - 1,) + e[j + 1 :] not in standard[d - weights[j]]
                     for j, x in enumerate(e[k + 1 :], k + 1)
                 ):
                     continue
-                combo = tracker.add(ev.section(e)[0], e)
+                section = real.multiply(w, gen_sections[k], d - w, s_section)
+                combo = tracker.add(section[0], e)
                 if combo is None:
-                    standard[d].append(e)
-                    known.add(e)
+                    level[e] = section
                 else:
-                    new.append((e, ev.rescaled(combo)))
+                    # the row of a section over den is den times the section
+                    new.append((e, {
+                        t: c * den if (den := level.get(t, section)[1]) != 1 else c
+                        for t, c in combo.items()
+                    }))
         if tracker.rank != dim:
             raise GenerationError(
                 f"generators span only {tracker.rank} of {dim} dimensions in degree {d}"

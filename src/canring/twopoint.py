@@ -48,7 +48,9 @@ class TwoPointPresentation:
         return len(self.generators) - 1 - self.neg_count
 
     def generator(self, i: int) -> LatticeVec2:
-        """Generator by chain index, -s <= i <= r."""
+        """Generator by chain index, -s <= i <= r; IndexError outside."""
+        if i not in self.indices:
+            raise IndexError(f"generator index {i} outside -{self.neg_count}..{self.pos_count}")
         return self.generators[i + self.neg_count]
 
     @property

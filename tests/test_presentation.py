@@ -36,7 +36,6 @@ from canring.presentation import (
     RelationPoly,
     _MonomialEvaluator,
     _Realization,
-    _cleared,
     _word,
     brute_force_oracle,
     generic_configs,
@@ -88,6 +87,13 @@ def field_values(field, section):
         assert den == 1
         return list(row)
     return [Fraction(c, den) for c in row]
+
+
+def cleared(vec):
+    """The section (row, den) of a vector of field values: its numerators
+    over their least common denominator."""
+    den = math.lcm(*[Fraction(c).denominator for c in vec])
+    return [int(c * den) for c in vec], den
 
 
 def section_matrix(D, field, d):
@@ -231,6 +237,7 @@ class TestRenderReference:
                 g = [c + b for c, b in zip(mono.c, floors)]
                 want = padded_to(reference_product(real, g), real.r(d) + 1, field)
                 assert field_values(field, section) == want
+                assert real.render_monomial(mono) == section
 
         coeff = st.builds(Fraction, st.integers(-7, 7), st.integers(1, 5)).map(field.of)
         if real.dim(d1) and real.dim(d2):
@@ -244,7 +251,7 @@ class TestRenderReference:
             for i, x in enumerate(v1):
                 for j, y in enumerate(v2):
                     conv[i + j] = field.add(conv[i + j], field.mul(x, y))
-            got = field_values(field, real.multiply(d1, _cleared(v1), d2, _cleared(v2)))
+            got = field_values(field, real.multiply(d1, cleared(v1), d2, cleared(v2)))
             want = padded_to(reference_product(real, excess, conv), real.r(d1 + d2) + 1, field)
             assert got == want
             assert list(map(type, got)) == list(map(type, want))
@@ -296,7 +303,7 @@ class TestSectionPairs:
         def check(section, exponents, width):
             want = padded_to(reference_product(real, exponents), width, field)
             assert field_values(field, section) == want
-            assert section == _cleared(want)
+            assert section == cleared(want)
 
         exps = data.draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
         check(real.render_exponents(exps, sum(exps) + 1), exps, sum(exps) + 1)
@@ -352,7 +359,7 @@ class TestMinimalGenerators:
         (gen,) = minimal_generators(FLAT, field)
         assert gen.degree == 6
         assert gen.monomial == GradedMonomial(6, (-2, 3, -1))
-        assert (gen.section, gen.order_at_marked_point) == ((1,), 0)
+        assert _Realization(FLAT, field).render_monomial(gen.monomial) == ([1], 1)
         assert minimal_generators(FLAT, field, up_to=6) == []
         assert minimal_generators(FLAT, field, up_to=7) == [gen]
         assert minimal_generators(FLAT, field, up_to=500) == [gen]
@@ -367,10 +374,9 @@ class TestMinimalGenerators:
         for D in (D2PT, GUARDED):
             by_degree = {}
             for g in minimal_generators(D, QQ):
-                by_degree.setdefault(g.degree, []).append(g.order_at_marked_point)
-                # the row index of the basis is the exponent of the first point
+                # the vanishing order at the first point is its exponent there
                 floors = floor_divisor(padded(D), g.degree)
-                assert g.order_at_marked_point == g.monomial.c[0] + floors[0]
+                by_degree.setdefault(g.degree, []).append(g.monomial.c[0] + floors[0])
             for orders in by_degree.values():
                 assert len(set(orders)) == len(orders)
                 assert orders == sorted(orders, reverse=True)
@@ -628,6 +634,23 @@ class TestRelations:
         for rel in rels:
             assert relation_evaluates_to_zero(D, field, gens, rel)
 
+    @pytest.mark.parametrize(
+        "points, alphas",
+        [((F("7/5"), F("5/3")), ("1/2", "1/2")), ((F("7/5"), F("2/3")), ("1", "3"))],
+    )
+    def test_records_from_another_field(self, points, alphas):
+        # a record is its monomial, so records selected in one field give
+        # the relations of another field as its own records do
+        D = QDivisor.of(points, [F(a) for a in alphas])
+        gens = {field: minimal_generators(D, field, 13) for field in (QQ, GFBIG)}
+        for field, other in ((GFBIG, QQ), (QQ, GFBIG)):
+            rels = relation_ideal(D, field, gens[other], 12)
+            assert rels == relation_ideal(D, field, gens[field], 12)
+            assert all(relation_evaluates_to_zero(D, field, gens[other], r) for r in rels)
+        coeffs = [c for r in relation_ideal(D, GFBIG, gens[QQ], 12) for _, c in r.terms]
+        assert coeffs and all(0 <= c < GFBIG.characteristic for c in coeffs)
+        assert gens[QQ] == gens[GFBIG]
+
     @pytest.mark.parametrize("field", [QQ, GFBIG])
     def test_tracks_standard_monomials_and_leading_terms_only(self, field, monkeypatch):
         gens = minimal_generators(CHORDS, field)
@@ -875,7 +898,7 @@ class TestOracle:
                     g = [x + b for x, b in zip(summed, real.floors(d))]
                     naive = padded_to(reference_product(real, g), width, field)
                     product = real.multiply(c, u, d - c, v)
-                    assert product == _cleared(naive)
+                    assert product == cleared(naive)
                     assert product == real.render_exponents(g, width)
 
     @settings(max_examples=30, deadline=None)
@@ -897,7 +920,7 @@ class TestOracle:
         assert span_rank(field, list(distinct.values()), width) == pregenerated
         # the oracle's reading: the monomials in the generators below d,
         # rendered by naive products, span the same
-        gens = [(g.degree, _cleared(g.section))
+        gens = [(g.degree, real.render_monomial(g.monomial))
                 for g in minimal_generators(real.divisor, field, d)]
         monomials = [
             functools.reduce(lambda a, b: (a[0] + b[0], real.multiply(*a, *b)), word)[1]

@@ -106,6 +106,18 @@ class TestVerification:
         )
         assert not verify_presentation(replace(p, relations=bad_rels))
 
+    def test_index_outside_the_chain_fails(self):
+        p = two_point_presentation(F("13/5"), F("-1/4"))
+        assert (p.neg_count, p.pos_count) == (3, 3)
+        assert p.generator(-3) == p.generators[0]
+        for i in (-4, 4, -10):
+            with pytest.raises(IndexError):
+                p.generator(i)
+        # -10 would wrap round to the index -3 of the first relation
+        assert p.relations[0].i == -3
+        bad_rels = (replace(p.relations[0], i=-10),) + p.relations[1:]
+        assert not verify_presentation(replace(p, relations=bad_rels))
+
     def test_dropped_relation_fails(self):
         p = two_point_presentation(F("13/5"), 0)
         assert not verify_presentation(replace(p, relations=p.relations[1:]))
