@@ -16,11 +16,13 @@ gcd(den, *row) == 1, in the coordinates of the monic factors (t - p_i); in
 GF(p) row holds residues and den is 1.  Rendering, products and
 elimination stay on these rows, since rank and span ignore the scale of a
 row.  Fractions are built only where a value is read: the relation
-coefficients (a combination of the rows, times the denominator of each
-tag), the substitution check and the oracle's relation kernel.
+coefficients, the substitution check and the oracle's relation kernel.
 
 Relations and Groebner leading terms come from one degreewise pass that
-renders only the standard monomials and the new leading terms.
+renders only the x_0-free standard monomials and the new leading terms:
+the multiples of the first generator x_0 fill a block x_0 S_{d - w_0} of
+known echelon form, which the other candidates are divided by.  Every
+relation has coefficient 1 at its leading term, in QQ as in GF(p).
 """
 
 from __future__ import annotations
@@ -380,6 +382,86 @@ class _MonomialEvaluator:
         return vec
 
 
+def _divide(field: FieldSpec, row: list[int], block: Optional[tuple]) -> tuple[int, list, list]:
+    """Low-order division of a row of degree d by the block of x_0 S_{d - w_0}.
+
+    The block (lo, nq, support, den) has the echelon rows g t^j, j < nq,
+    where g over den is x_0 times 1 and support lists the nonzero (index,
+    entry) pairs of g; row j leads at lo + j.  Returns (scale, quotient,
+    rest) with scale * row = quotient * g + rest, the rest being zero at
+    lo..lo+nq-1 and given off those coordinates.  Mod p the scale is 1;
+    over QQ the division is fraction-free, on integer rows.
+    """
+    if block is None:
+        return 1, [], row
+    lo, nq, support, _ = block
+    a, p = support[0][1], field.characteristic
+    inv = pow(a, -1, p) if p else 0
+    row, quotient, scale = list(row), [0] * nq, 1
+    for j in range(nq):
+        f = row[lo + j]
+        if not f:
+            continue
+        if p:
+            f = f * inv % p
+            for i, c in support:
+                row[i + j] = (row[i + j] - f * c) % p
+        else:
+            g = math.gcd(a, f) if a > 0 else -math.gcd(a, f)
+            m, f = a // g, f // g
+            if m != 1:
+                row = [m * x for x in row]
+                quotient = [m * x for x in quotient]
+                scale *= m
+            for i, c in support:
+                row[i + j] -= f * c
+        quotient[j] = f
+    return scale, quotient, row[:lo] + row[lo + nq :]
+
+
+def _relation(
+    field: FieldSpec, free: dict, blocks: dict, w0: int, d: int, combo: dict, e, entry: tuple
+) -> dict[tuple[int, ...], object]:
+    """The relation of a dependent candidate e of degree d, from the
+    combination sum_t c_t rest_t = 0 of rests (_divide) that it closes.
+
+    Each t of F(d), and e, has the entry (section, kappa, quotient), kappa
+    = scale * den, so rest_t = kappa s_t - quotient_t g.  Scaled to
+    coefficient 1 at e, the combination says sum_t a_t s_t = x_0 Q, Q of
+    degree d - w_0.  The rest of Q is solved in the rests of F(d - w_0), a
+    square invertible system, through that degree's tracker: Q + sum_f a_f
+    s_f = x_0 Q', and so on down.  The relation is sum_t a_t x^t plus sum_f
+    a_f x_0^i f at depth i.
+    """
+    relation: dict[tuple[int, ...], object] = {}
+    power = 0  # of x_0
+    while True:
+        block = blocks[d][0]
+        entries = free[d] | {e: entry}
+        inv = field.inv(field.mul(combo[e], entry[1]))
+        acc = [field.zero] * (block[1] if block else 0)
+        for t, c in combo.items():
+            _, kappa, quotient = entries[t]
+            if t is not None:
+                relation[(power,) + t[1:]] = field.mul(field.mul(c, kappa), inv)
+            acc = [field.add(x, field.mul(c, q)) for x, q in zip(acc, quotient)]
+        values = [field.mul(field.mul(x, block[3]), inv) for x in acc]
+        if not any(values):
+            return relation
+        d, power = d - w0, power + 1
+        block, tracker = blocks[d]
+        if field.characteristic:
+            row, den = values, 1
+        else:
+            den = math.lcm(*[x.denominator for x in values])
+            row = [x.numerator * (den // x.denominator) for x in values]
+        scale, quotient, rest = _divide(field, row, block)
+        e, entry = None, (None, scale * den, quotient)
+        combo = tracker.add(rest, e)
+        if combo is None:
+            raise AssertionError(f"the standard monomials fail to span degree {d}")
+
+
 def _standard_pass(
     D: QDivisor,
     field: FieldSpec,
@@ -387,14 +469,21 @@ def _standard_pass(
     up_to: int,
 ) -> Iterator[tuple[int, int, list[tuple[tuple[int, ...], dict]]]]:
     """The degreewise pass over the standard monomials (those that are not
-    initial terms) behind relation_ideal and groebner_leading_terms.  The
-    candidates of degree d are x_k s, s standard of degree d - w_k and k at
-    most its first variable, in word order; those that a lower leading term
-    divides are skipped unrendered, the rest go to one TrackingRowBasis.
-    The pass keeps the section of each standard monomial, so a candidate is
-    one product, generator k times the section of s, and a relation is
-    rescaled from its rows to its monomials by the denominators of those
-    sections.  Yields d, dim I_d = #monomials(d) - dim S_d and the new
+    initial terms) behind relation_ideal and groebner_leading_terms.
+
+    S_d is a space of polynomials, so multiplying by a generator is
+    injective, and in word order every monomial with x_0 precedes every
+    x_0-free one.  So the standard monomials of degree d are x_0 std(d -
+    w_0) and F(d), the x_0-free ones, and no minimal leading term contains
+    x_0.  The multiples of x_0 are derived, not rendered: they fill the
+    block x_0 S_{d - w_0}, whose echelon rows are (x_0 times 1) t^j.  The
+    candidates of degree d are the x_k s, k >= 1, s in F(d - w_k) and k at
+    most its first variable, in word order; those that a lower leading
+    term divides are skipped unrendered.  Each other one is one product,
+    divided by the block (_divide), and its rest goes to the degree's
+    TrackingRowBasis.  A dependent rest gives the unique relation of e
+    over the standard monomials below it, with coefficient 1 at e
+    (_relation).  Yields d, dim I_d = #monomials(d) - dim S_d and the new
     (leading term, relation) pairs of each degree that has any.
     """
     real = _Realization(D, field)
@@ -404,8 +493,14 @@ def _standard_pass(
     for w in weights:
         for d in range(w, up_to + 1):
             count[d] += count[d - w]
-    # the section of each standard monomial, by degree, in word order
-    standard: dict[int, dict[tuple[int, ...], Section]] = {0: {(0,) * len(gens): ([1], 1)}}
+    # by degree: F(d) in word order, each monomial with its section, scale
+    # * den and quotient (_divide); the block (None when it is zero) and the
+    # tracker of the rests of F(d)
+    empty = (0,) * len(gens)
+    unit = TrackingRowBasis(field)
+    unit.add([1], empty)
+    free: dict[int, dict] = {0: {empty: (([1], 1), 1, [])}}
+    blocks: dict[int, tuple] = {0: (None, unit)}
     for d in range(1, up_to + 1):
         dim = real.dim(d)
         if not count[d]:
@@ -416,29 +511,34 @@ def _standard_pass(
             continue
         if dim <= 0:
             raise AssertionError("monomials exist in a zero graded piece")
-        tracker, new = TrackingRowBasis(field), []
-        level = standard[d] = {}
-        for k, w in enumerate(weights):
-            for s, s_section in standard.get(d - w, {}).items():
+        w0 = weights[0]
+        nq, block = real.dim(d - w0) if d >= w0 else 0, None
+        if nq:
+            g, den = real.multiply(w0, gen_sections[0], d - w0, ([1], 1))
+            support = [(i, c) for i, c in enumerate(g) if c]
+            block = (support[0][0], nq, support, den)
+        tracker, level, new = TrackingRowBasis(field), {}, []
+        free[d], blocks[d] = level, (block, tracker)
+        for k in range(1, len(gens)):
+            w = weights[k]
+            for s, (s_section, _, _) in free.get(d - w, {}).items():
                 e = s[:k] + (s[k] + 1,) + s[k + 1 :]
                 if any(s[:k]) or any(
-                    x and e[:j] + (x - 1,) + e[j + 1 :] not in standard[d - weights[j]]
+                    x and e[:j] + (x - 1,) + e[j + 1 :] not in free[d - weights[j]]
                     for j, x in enumerate(e[k + 1 :], k + 1)
                 ):
                     continue
                 section = real.multiply(w, gen_sections[k], d - w, s_section)
-                combo = tracker.add(section[0], e)
+                scale, quotient, rest = _divide(field, section[0], block)
+                entry = (section, scale * section[1], quotient)
+                combo = tracker.add(rest, e)
                 if combo is None:
-                    level[e] = section
-                else:
-                    # the row of a section over den is den times the section
-                    new.append((e, {
-                        t: c * den if (den := level.get(t, section)[1]) != 1 else c
-                        for t, c in combo.items()
-                    }))
-        if tracker.rank != dim:
+                    level[e] = entry
+                    continue
+                new.append((e, _relation(field, free, blocks, w0, d, combo, e, entry)))
+        if nq + tracker.rank != dim:
             raise GenerationError(
-                f"generators span only {tracker.rank} of {dim} dimensions in degree {d}"
+                f"generators span only {nq + tracker.rank} of {dim} dimensions in degree {d}"
             )
         if new:
             yield d, count[d] - dim, new
@@ -454,15 +554,17 @@ def relation_ideal(
     (default: the certified relation-degree bound).
 
     The pass over the standard monomials gives one relation g_e per new
-    leading term e.  At e the tracker's rows are exactly the standard
-    monomials below e, as under full elimination, so g_e is unchanged,
-    scale included.  The word order is multiplicative within a degree, so a
-    relation whose leading term is a multiple of a lower one lies in (mI)_d
-    (m the ideal of the generators) plus the g_e below it, and is never
-    emitted.  Graded Nakayama runs only in degrees with new leading terms,
-    seeded with the shifts x^a g (a != 0) of the lower g_e, which span
-    (mI)_d, until its rank reaches dim I_d.  Raises GenerationError if the
-    generators fail the dimension (Hilbert series) check at any degree.
+    leading term e: e minus its unique expansion in the standard monomials
+    below it, the relation full elimination finds, with coefficient 1 at e
+    in every field (so a QQ relation reduces mod p to the GF(p) one when
+    the leading terms agree).  The word order is multiplicative within a
+    degree, so a relation whose leading term is a multiple of a lower one
+    lies in (mI)_d (m the ideal of the generators) plus the g_e below it,
+    and is never emitted.  Graded Nakayama runs only in degrees with new
+    leading terms, seeded with the shifts x^a g (a != 0) of the lower g_e,
+    which span (mI)_d, until its rank reaches dim I_d.  Raises
+    GenerationError if the generators fail the dimension (Hilbert series)
+    check at any degree.
     """
     if up_to is None:
         up_to = _default_windows(D)[1]
@@ -510,8 +612,9 @@ def groebner_leading_terms(
     on generator monomials: the new leading terms of the pass over the
     standard monomials.  A multiple of a leading term is one again, and its
     section lies in the span of those below it, so skipping it unrendered
-    changes no judgement.  The terms found are the divisibility-minimal
-    ones up to the truncation degree.
+    changes no judgement; no minimal leading term contains x_0, whose
+    multiples the pass derives unrendered.  The terms found are the
+    divisibility-minimal ones up to the truncation degree.
     """
     if up_to is None:
         up_to = _default_windows(D)[1]

@@ -125,12 +125,13 @@ class TestRelsAndGroebner:
 
     def test_rels_pretty_coefficients(self, capsys):
         # rational points: sections keep their rational coordinates, so the
-        # printed coefficients are those of the monic factors (t - p_i)
+        # printed coefficients are those of the monic factors (t - p_i), and
+        # a relation has coefficient 1 at its leading term
         code, out, _ = run(
             capsys, "rels", "--alphas=-1/2,1/3,1/5", "--points", "1/2,-3/4,5/3"
         )
         assert code == 0
-        assert "  degree   30: (-150/203)*x1^5 + (-20/29)*x2^3 + (10/7)*x3^2\n" in out
+        assert "  degree   30: (-15/29)*x1^5 + (-14/29)*x2^3 + (1)*x3^2\n" in out
 
     def test_groebner_plain_report(self, capsys):
         # leading terms are listed in word order, not by degree

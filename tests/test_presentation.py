@@ -1,4 +1,5 @@
 import functools
+import gc
 import itertools
 import math
 import random
@@ -504,7 +505,8 @@ def reference_leading_terms(D, field, gens, up_to):
 def reference_relations(D, field, gens, up_to):
     """Full elimination: every monomial of every degree through one
     TrackingRowBasis in word order, each kernel vector kept, and graded
-    Nakayama against the x_k shifts of the full lower-degree kernels."""
+    Nakayama against the x_k shifts of the full lower-degree kernels; each
+    relation scaled to coefficient 1 at its word-largest term."""
     real = _Realization(D, field)
     ev = _MonomialEvaluator(real, gens)
     weights = [g.degree for g in gens]
@@ -524,8 +526,9 @@ def reference_relations(D, field, gens, up_to):
                 nakayama.add({e[:k] + (e[k] + 1,) + e[k + 1 :]: c for e, c in vec.items()})
         for vec in found:
             if nakayama.add(vec):
-                terms = tuple(sorted(vec.items(), key=lambda t: word_key(t[0])))
-                minimal.append(RelationPoly(d, terms))
+                terms = sorted(vec.items(), key=lambda t: word_key(t[0]))
+                inv = field.inv(terms[-1][1])
+                minimal.append(RelationPoly(d, tuple((e, field.mul(c, inv)) for e, c in terms)))
     return minimal
 
 
@@ -651,22 +654,68 @@ class TestRelations:
         assert coeffs and all(0 <= c < GFBIG.characteristic for c in coeffs)
         assert gens[QQ] == gens[GFBIG]
 
+    @pytest.mark.parametrize(
+        "consumer", [relation_ideal, groebner_leading_terms], ids=lambda f: f.__name__
+    )
     @pytest.mark.parametrize("field", [QQ, GFBIG])
-    def test_tracks_standard_monomials_and_leading_terms_only(self, field, monkeypatch):
+    def test_renders_x0_free_standard_monomials_and_leading_terms_only(
+        self, field, consumer, monkeypatch
+    ):
+        # the multiples of x_0 (degree 6) are derived: each degree renders
+        # x_0 times 1 and its dim S_d - dim S_{d-6} x_0-free standard
+        # monomials and new leading terms, 385 of them under full tracking
         gens = minimal_generators(CHORDS, field)
-        leading = groebner_leading_terms(CHORDS, field, gens, up_to=120).leading_terms
+        assert gens[0].degree == 6
         real = _Realization(CHORDS, field)
-        standard = sum(real.dim(d) for d in range(2, 121))
-        calls = []
-        add = TrackingRowBasis.add
+        below = [real.dim(d - 6) if d >= 6 else 0 for d in range(121)]
+        free = sum(real.dim(d) - below[d] for d in range(1, 121))
+        leading = groebner_leading_terms(CHORDS, field, gens, up_to=120).leading_terms
+        assert free + len(leading) == 43
+        tags, products = [], []
+        add, multiply = TrackingRowBasis.add, _Realization.multiply
 
-        def counted(self, vec, tag):
-            calls.append(tag)
+        def counted_add(self, vec, tag):
+            tags.append(tag)
             return add(self, vec, tag)
 
-        monkeypatch.setattr(TrackingRowBasis, "add", counted)
-        relation_ideal(CHORDS, field, gens, up_to=120)
-        assert len(calls) == standard + len(leading)
+        def counted_multiply(self, *args):
+            products.append(args[0])
+            return multiply(self, *args)
+
+        monkeypatch.setattr(TrackingRowBasis, "add", counted_add)
+        monkeypatch.setattr(_Realization, "multiply", counted_multiply)
+        consumer(CHORDS, field, gens, up_to=120)
+        candidates = [tag for tag in tags if tag is not None and any(tag)]
+        assert len(candidates) == 43 and not any(e[0] for e in candidates)
+        assert len(products) == 43 + sum(1 for d in range(1, 121) if below[d])
+
+    @pytest.mark.parametrize("field", [QQ, GF7, GFBIG])
+    @pytest.mark.parametrize(
+        "D, window, order",
+        [(D235, 62, [2, 1, 0]), (CHORDS, 60, [3, 2, 1, 0]), (CHORDS, 60, [1, 3, 0, 2])],
+        ids=["235-reversed", "chords-reversed", "chords-shuffled"],
+    )
+    def test_any_generator_order(self, D, window, order, field):
+        # x_0 need not have the least degree: the block of its multiples is
+        # empty below w_0 and the pass still gives the unique relations
+        gens = minimal_generators(D, field)
+        gens = [gens[i] for i in order]
+        rels = relation_ideal(D, field, gens, window)
+        assert rels == reference_relations(D, field, gens, window)
+        assert all(relation_evaluates_to_zero(D, field, gens, r) for r in rels)
+        report = groebner_leading_terms(D, field, gens, window)
+        assert report.leading_terms == reference_leading_terms(D, field, gens, window)
+
+    @pytest.mark.parametrize("field", [QQ, GFBIG])
+    def test_leaves_no_cyclic_garbage(self, field):
+        gens = minimal_generators(CHORDS, field)
+        gc.collect()
+        gc.disable()
+        try:
+            relation_ideal(CHORDS, field, gens, 120)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestGroebner:
@@ -768,21 +817,6 @@ class TestGroebner:
         gens = minimal_generators(D, field, up_to=window)
         report = groebner_leading_terms(D, field, gens, window)
         assert report.leading_terms == reference_leading_terms(D, field, gens, window)
-
-    @pytest.mark.parametrize("field", [QQ, GFBIG])
-    def test_renders_standard_monomials_and_leading_terms_only(self, field, monkeypatch):
-        gens = minimal_generators(CHORDS, field)
-        calls = []
-        multiply = _Realization.multiply
-
-        def counted(self, *args):
-            calls.append(args[0])
-            return multiply(self, *args)
-
-        monkeypatch.setattr(_Realization, "multiply", counted)
-        report = groebner_leading_terms(CHORDS, field, gens, up_to=120)
-        standard = sum(graded_dim(CHORDS, d) for d in range(1, 121))
-        assert len(calls) == standard + len(report.leading_terms)
 
 
 class TestDefaultWindows:
@@ -1006,20 +1040,27 @@ def _generic_divisors(draw):
 
 class TestGenericConfigurations:
     """The differential referees: on generic configurations QQ and
-    GF(2^61 - 1) give the same presentation degrees, and every emitted
-    relation vanishes on the generator sections."""
+    GF(2^61 - 1) give the same presentation degrees, every emitted relation
+    vanishes on the generator sections, and the QQ relations, monic at
+    their leading terms, reduce mod p to the GF(2^61 - 1) ones."""
 
     @settings(max_examples=40, deadline=None)
     @given(_generic_divisors())
     def test_relations_vanish_and_large_prime_agrees(self, D):
         window = min(degree_bounds(D)[1], 12)
-        degrees = []
+        degrees, relations = [], []
         for field in (QQ, GFBIG):
             gens = minimal_generators(D, field, window + 1)
             rels = relation_ideal(D, field, gens, window)
             assert all(relation_evaluates_to_zero(D, field, gens, r) for r in rels)
             degrees.append((gen_degrees(gens), sorted(r.degree for r in rels)))
+            relations.append(rels)
         assert degrees[0] == degrees[1]
+        reduced = [
+            RelationPoly(r.degree, tuple((e, GFBIG.of(c)) for e, c in r.terms))
+            for r in relations[0]
+        ]
+        assert reduced == relations[1]
 
 
 class TestStabilityScan:
