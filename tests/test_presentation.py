@@ -547,6 +547,37 @@ _CRITERION_09_ALPHAS = st.lists(
 ).filter(lambda a: sum(a) <= 1)
 
 
+def assert_x0_free_work(field, consumer, monkeypatch):
+    """The multiples of x_0 (degree 6) on the chords divisor are derived:
+    each degree renders x_0 times 1 and its dim S_d - dim S_{d-6} x_0-free
+    standard monomials and new leading terms, 43 of them to degree 120
+    where tracking every standard monomial takes 385."""
+    gens = minimal_generators(CHORDS, field)
+    assert gens[0].degree == 6
+    real = _Realization(CHORDS, field)
+    below = [real.dim(d - 6) if d >= 6 else 0 for d in range(121)]
+    free = sum(real.dim(d) - below[d] for d in range(1, 121))
+    leading = groebner_leading_terms(CHORDS, field, gens, up_to=120).leading_terms
+    assert free + len(leading) == 43
+    tags, products = [], []
+    add, multiply = TrackingRowBasis.add, _Realization.multiply
+
+    def counted_add(self, vec, tag):
+        tags.append(tag)
+        return add(self, vec, tag)
+
+    def counted_multiply(self, *args):
+        products.append(args[0])
+        return multiply(self, *args)
+
+    monkeypatch.setattr(TrackingRowBasis, "add", counted_add)
+    monkeypatch.setattr(_Realization, "multiply", counted_multiply)
+    consumer(CHORDS, field, gens, up_to=120)
+    candidates = [tag for tag in tags if tag is not None and any(tag)]
+    assert len(candidates) == 43 and not any(e[0] for e in candidates)
+    assert len(products) == 43 + sum(1 for d in range(1, 121) if below[d])
+
+
 class TestRelations:
     def test_235_single_relation(self):
         gens = minimal_generators(D235, QQ)
@@ -654,40 +685,9 @@ class TestRelations:
         assert coeffs and all(0 <= c < GFBIG.characteristic for c in coeffs)
         assert gens[QQ] == gens[GFBIG]
 
-    @pytest.mark.parametrize(
-        "consumer", [relation_ideal, groebner_leading_terms], ids=lambda f: f.__name__
-    )
     @pytest.mark.parametrize("field", [QQ, GFBIG])
-    def test_renders_x0_free_standard_monomials_and_leading_terms_only(
-        self, field, consumer, monkeypatch
-    ):
-        # the multiples of x_0 (degree 6) are derived: each degree renders
-        # x_0 times 1 and its dim S_d - dim S_{d-6} x_0-free standard
-        # monomials and new leading terms, 385 of them under full tracking
-        gens = minimal_generators(CHORDS, field)
-        assert gens[0].degree == 6
-        real = _Realization(CHORDS, field)
-        below = [real.dim(d - 6) if d >= 6 else 0 for d in range(121)]
-        free = sum(real.dim(d) - below[d] for d in range(1, 121))
-        leading = groebner_leading_terms(CHORDS, field, gens, up_to=120).leading_terms
-        assert free + len(leading) == 43
-        tags, products = [], []
-        add, multiply = TrackingRowBasis.add, _Realization.multiply
-
-        def counted_add(self, vec, tag):
-            tags.append(tag)
-            return add(self, vec, tag)
-
-        def counted_multiply(self, *args):
-            products.append(args[0])
-            return multiply(self, *args)
-
-        monkeypatch.setattr(TrackingRowBasis, "add", counted_add)
-        monkeypatch.setattr(_Realization, "multiply", counted_multiply)
-        consumer(CHORDS, field, gens, up_to=120)
-        candidates = [tag for tag in tags if tag is not None and any(tag)]
-        assert len(candidates) == 43 and not any(e[0] for e in candidates)
-        assert len(products) == 43 + sum(1 for d in range(1, 121) if below[d])
+    def test_tracks_standard_monomials_and_leading_terms_only(self, field, monkeypatch):
+        assert_x0_free_work(field, relation_ideal, monkeypatch)
 
     @pytest.mark.parametrize("field", [QQ, GF7, GFBIG])
     @pytest.mark.parametrize(
@@ -817,6 +817,10 @@ class TestGroebner:
         gens = minimal_generators(D, field, up_to=window)
         report = groebner_leading_terms(D, field, gens, window)
         assert report.leading_terms == reference_leading_terms(D, field, gens, window)
+
+    @pytest.mark.parametrize("field", [QQ, GFBIG])
+    def test_renders_standard_monomials_and_leading_terms_only(self, field, monkeypatch):
+        assert_x0_free_work(field, groebner_leading_terms, monkeypatch)
 
 
 class TestDefaultWindows:
