@@ -110,9 +110,10 @@ def graded_dim(D: QDivisor, d: int) -> int:
     return max(sum(floor_divisor(D, d)) + 1, 0)
 
 
-def padded(D: QDivisor) -> QDivisor:
+def padded(D: QDivisor, characteristic: int = 0) -> QDivisor:
     """The divisor itself for n >= 2; a one-point divisor gains a ghost
-    point of coefficient 0 at inf, or at 0 when its point is inf.
+    point of coefficient 0 at inf, or at 0 when its point is inf or
+    reduces to inf in the given characteristic.
 
     The exponent-vector combinatorics (sum of exponents = 0) needs at least
     two points to say anything, so one-point divisors are handled through
@@ -120,7 +121,8 @@ def padded(D: QDivisor) -> QDivisor:
     """
     if D.n >= 2:
         return D
-    ghost = PointP1.of(0 if D.points[0].is_infinity else None)
+    pt, p = D.points[0], characteristic
+    ghost = PointP1.of(0 if pt.is_infinity or (p and pt.value.denominator % p == 0) else None)
     return QDivisor(D.points + (ghost,), D.alphas + (Fraction(0),))
 
 

@@ -8,8 +8,10 @@ divided out.  ``RowBasis`` owns the one incremental elimination loop;
 ``TrackingRowBasis`` logs its steps and replays row expressions only for a
 dependent row's combination.  The one-shot ``rank``, ``row_reduce`` and
 ``kernel_basis`` take the field, the rows and the column count, which a
-matrix with no rows still needs; ``row_reduce`` builds ``Fraction``s once,
-at the end, and ``rank`` clears only below each pivot.
+matrix with no rows still needs; ``rank`` clears only below each pivot.
+One sparse integer kernel, read off the reduced echelon form, serves the
+brute-force oracle as it is; ``kernel_basis`` normalizes it and, like
+``row_reduce``, builds ``Fraction``s only at the end.
 """
 
 from __future__ import annotations
@@ -67,10 +69,6 @@ class FieldSpec:
     @property
     def zero(self):
         return 0 if self.characteristic else Fraction(0)
-
-    @property
-    def one(self):
-        return 1 if self.characteristic else Fraction(1)
 
     def of(self, value) -> object:
         """Embed a rational number into the field."""
@@ -196,18 +194,33 @@ def rank(field: FieldSpec, rows: Sequence[Sequence], ncols: int) -> int:
     return len(_echelon(field, rows, ncols, reduced=False)[1])
 
 
-def kernel_basis(field: FieldSpec, rows: Sequence[Sequence], ncols: int) -> list[list]:
-    """Basis of the right kernel; empty when the matrix is injective."""
-    rref, pivots = row_reduce(field, rows, ncols)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
+def _integer_kernel(field: FieldSpec, rows: Sequence[Sequence], ncols: int) -> list[dict]:
+    """Right kernel, one sparse integer vector per free column f, in order,
+    f its first key.  Where row i of the reduced echelon form has pivot P_i
+    at column c_i and x_i != 0 at f, the vector is {f: L, c_i: -x_i L/P_i},
+    L > 0 the least integer clearing every x_i/P_i; mod p, {f: 1, c_i: -x_i}.
+    """
+    rref, pivots = _echelon(field, rows, ncols, reduced=True)
+    p = field.characteristic
     basis = []
-    for f in free_cols:
-        vec = [field.zero] * ncols
-        vec[f] = field.one
-        for i, c in enumerate(pivots):
-            vec[c] = field.neg(rref[i][f])
-        basis.append(vec)
+    for f in sorted(set(range(ncols)).difference(pivots)):
+        entries = [(c, row[f], row[c]) for row, c in zip(rref, pivots) if row[f]]
+        if p:
+            basis.append({f: 1} | {c: -x % p for c, x, _ in entries})
+        else:
+            # a list, not a generator, as in presentation._word
+            L = math.lcm(*[P // math.gcd(P, x) for _, x, P in entries])
+            basis.append({f: L} | {c: -x * L // P for c, x, P in entries})
+    return basis
+
+
+def kernel_basis(field: FieldSpec, rows: Sequence[Sequence], ncols: int) -> list[list]:
+    """Basis of the right kernel, each vector 1 at its free column; empty
+    when the matrix is injective."""
+    basis = []
+    for vec in _integer_kernel(field, rows, ncols):
+        scale = field.inv(next(iter(vec.values())))
+        basis.append([field.mul(scale, vec.get(c, 0)) for c in range(ncols)])
     return basis
 
 

@@ -16,7 +16,8 @@ gcd(den, *row) == 1, in the coordinates of the monic factors (t - p_i); in
 GF(p) row holds residues and den is 1.  Rendering, products and
 elimination stay on these rows, since rank and span ignore the scale of a
 row.  Fractions are built only where a value is read: the relation
-coefficients, the substitution check and the oracle's relation kernel.
+coefficients and the substitution check.  The oracle stays on integer
+rows throughout (brute_force_oracle).
 
 Relations and Groebner leading terms come from one degreewise pass that
 renders only the x_0-free standard monomials and the new leading terms:
@@ -54,7 +55,7 @@ from .exactla import (
     RowBasis,
     SparseRowBasis,
     TrackingRowBasis,
-    kernel_basis,
+    _integer_kernel,
     rank,
 )
 from .ratapprox import format_fraction
@@ -110,19 +111,12 @@ def _poly_mul(field: FieldSpec, a: Sequence[int], b: Sequence[int]) -> list[int]
 Section = tuple[list[int], int]  # (row, den), see the module docstring
 
 
-def _values(field: FieldSpec, row: Sequence[int], den: int) -> list:
-    """The field values row / den of a section."""
-    if field.characteristic:
-        return list(row)
-    return [Fraction(c, den) for c in row]
-
-
 class _Realization:
     """A divisor with its points embedded in a concrete field; every row of
     a graded piece is rendered by render_exponents."""
 
     def __init__(self, D: QDivisor, field: FieldSpec):
-        self.divisor = padded(D)
+        self.divisor = padded(D, field.characteristic)
         self.field = field
         self._floors: dict[int, list[int]] = {}
         self._r: dict[int, int] = {}  # sum of the floors, stored with them
@@ -647,8 +641,9 @@ def relation_evaluates_to_zero(
     width = real.r(poly.degree) + 1
     total = [field.zero] * width
     for exps, coeff in poly.terms:
-        vec = _values(field, *ev.section(exps))
-        total = [field.add(t, field.mul(coeff, v)) for t, v in zip(total, vec)]
+        row, den = ev.section(exps)
+        scale = field.mul(coeff, field.inv(den))
+        total = [field.add(t, field.mul(scale, v)) for t, v in zip(total, row)]
     return not any(total)
 
 
@@ -783,6 +778,12 @@ def brute_force_oracle(
     minimal relations are the kernel modulo the lower kernels shifted by
     one generator (x_k w: the word with k inserted).
 
+    No Fraction is built.  The kernel of the integer rows of the sections
+    row_j / den_j gives the relations v_j = u_j den_j, as integer (residue)
+    terms.  A vector of the degree-d kernel, which holds every shifted
+    relation, is fixed by its coordinates at the kernel's free columns, so
+    the shifted rows are ranked on those #kernel columns alone.
+
     Only meant for small instances; refuses anything with a graded piece
     of dimension above 40 at or below the requested degree.
     """
@@ -800,27 +801,27 @@ def brute_force_oracle(
             for w, sec in words.get(d - gd, {}).items():
                 if w[-1] <= k:
                     level[w + (k,)] = real.multiply(d - gd, sec, gd, gsec)
-        ws = list(level)
-        sections = [_values(field, *sec) for sec in level.values()]
-        kern = kernel_basis(field, list(zip(*sections)), len(ws))
-        kernels[d] = [[(w, c) for w, c in zip(ws, vec) if c] for vec in kern]
+        ws, secs = list(level), list(level.values())
+        rows, width = [row for row, _ in secs], real.r(d) + 1
+        kern = _integer_kernel(field, list(zip(*rows)), len(ws))
+        kernels[d] = [[(ws[j], u * secs[j][1]) for j, u in vec.items()] for vec in kern]
         if kern:
-            index = {w: i for i, w in enumerate(ws)}
+            free = {ws[next(iter(vec))]: i for i, vec in enumerate(kern)}
             shifted_rows = []
             for k, (gd, _) in enumerate(gens):
                 for terms in kernels.get(d - gd, []):
-                    row = [field.zero] * len(ws)
+                    row = [0] * len(kern)
                     for w, coeff in terms:
-                        target = index[tuple(sorted(w + (k,)))]
-                        row[target] = field.add(row[target], coeff)
+                        i = free.get(tuple(sorted(w + (k,))))
+                        if i is not None:
+                            row[i] += coeff
                     shifted_rows.append(row)
-            count = len(kern) - rank(field, shifted_rows, len(ws))
+            count = len(kern) - rank(field, shifted_rows, len(kern))
             rel_degrees.extend([d] * count)
 
         current, dim = len(ws) - len(kern), real.dim(d)
         if current == dim:
             continue
-        rows, width = [row for row, _ in level.values()], real.r(d) + 1
         for _, vec in sorted(zip(real.basis(d), real.basis_sections(d)), key=lambda p: p[0].c):
             trial = rows + [vec[0]]
             new_rank = rank(field, trial, width)

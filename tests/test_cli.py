@@ -347,6 +347,43 @@ class TestOracle:
         assert run(capsys, *args)[:2] == (0, "MATCH\n")
 
 
+class TestPointAtInfinityModP:
+    """A one-point divisor whose point reduces to inf in GF(p) reads as the
+    divisor at inf: its ghost point moves to 0 instead of colliding."""
+
+    @pytest.mark.parametrize("point", ["1/3", "2/9"])
+    @pytest.mark.parametrize("command", ["gens", "rels", "oracle"])
+    def test_matches_the_point_at_inf(self, capsys, command, point):
+        reports = {}
+        for pt in (point, "inf"):
+            code, out, err = run(
+                capsys, command, "--alphas=5/2", "--points", pt, "--char", "3", "--json"
+            )
+            assert (code, err) == (0, "")
+            reports[pt] = json.loads(out)
+            assert reports[pt].pop("config")["points"] == [pt]
+        assert reports[point] == reports["inf"]
+
+    @pytest.mark.parametrize("point", ["1/3", "2/9"])
+    def test_degrees(self, capsys, point):
+        code, out, _ = run(
+            capsys, "oracle", "--alphas=5/2", "--points", point, "--char", "3", "--json"
+        )
+        assert code == 0
+        report = json.loads(out)
+        assert report["match"] is True
+        assert report["oracle"] == {"generators": [1, 1, 1, 2], "relations": [2, 3, 3]}
+        assert run(capsys, "gens", "--alphas=5/2", "--points", point, "--char", "3")[:2] == (
+            0,
+            f"minimal generators of QDivisor(5/2*({point})) over GF(3)\n"
+            "  degree    1  u\n"
+            "  degree    1  u*t1^-1*t2\n"
+            "  degree    1  u*t1^-2*t2^2\n"
+            "  degree    2  u^2*t1^-5*t2^5\n"
+            "  (4 generators)\n",
+        )
+
+
 class TestPlumbing:
     def test_json_roundtrip_byte_identical(self, capsys):
         code, out, _ = run(

@@ -54,6 +54,15 @@ class TestModel:
         assert padded(D).points[1] == PointP1.of(0)
         assert padded(QDivisor.of([0], [2])).points[1].is_infinity
 
+    @pytest.mark.parametrize("point", ["1/3", "2/9", "-5/6"])
+    def test_ghost_point_avoids_the_reduced_point(self, point):
+        # the point reduces to inf in GF(3), so the ghost goes to 0 there
+        D = QDivisor.of([F(point)], [2])
+        assert padded(D, 3).points[1] == PointP1.of(0)
+        assert padded(D).points[1].is_infinity
+        assert padded(D, 5).points[1].is_infinity
+        assert padded(QDivisor.of(["inf"], [2]), 3).points[1] == PointP1.of(0)
+
 
 class TestFloorsAndDims:
     def test_floor_235_at_6(self):

@@ -12,6 +12,7 @@ from canring.exactla import (
     RowBasis,
     SparseRowBasis,
     TrackingRowBasis,
+    _integer_kernel,
     kernel_basis,
     rank,
     row_reduce,
@@ -141,7 +142,7 @@ def _reference_kernel(field, ncols, rows, pivots):
     basis = []
     for free in sorted(set(range(ncols)) - set(pivots)):
         vec = [field.zero] * ncols
-        vec[free] = field.one
+        vec[free] = field.of(1)
         for i, c in enumerate(pivots):
             vec[c] = field.neg(rows[i][free])
         basis.append(vec)
@@ -211,7 +212,7 @@ class TestFieldSpec:
             GF2.of(Fraction(1, 2))
 
     def test_arithmetic_mod_p(self):
-        assert GF7.mul(GF7.one, GF7.inv(3)) == 5
+        assert GF7.mul(1, GF7.inv(3)) == 5
         assert GF7.sub(2, 5) == 4
 
     def test_int_input_stays_exact_over_qq(self):
@@ -323,6 +324,60 @@ class TestKernel:
         for vec in kernel_basis(*m):
             for row in m.rows:
                 assert sum(a * b for a, b in zip(row, vec)) == 0
+
+
+@st.composite
+def _kernel_cases(draw):
+    """A QQ or GF(7) matrix from ``_matrices``, or one of the edge shapes:
+    no rows, no columns, wide, a zero column."""
+    kind = draw(st.sampled_from(["random", "no rows", "no columns", "wide", "zero column"]))
+    if kind == "random":
+        return draw(_matrices(fields=(QQ, GF7)))
+    field = draw(st.sampled_from([QQ, GF7]))
+    p = field.characteristic
+    entries = st.integers(0, p - 1) if p else _qq_entries
+    nrows, ncols = {
+        "no rows": (0, draw(st.integers(0, 4))),
+        "no columns": (draw(st.integers(0, 3)), 0),
+        "wide": (draw(st.integers(1, 3)), draw(st.integers(5, 9))),
+        "zero column": (draw(st.integers(1, 5)), draw(st.integers(1, 5))),
+    }[kind]
+    rows = [draw(st.lists(entries, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+    if kind == "zero column":
+        zero = draw(st.integers(0, ncols - 1))
+        for row in rows:
+            row[zero] = 0
+    return Mat(field, rows, ncols)
+
+
+class TestIntegerKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(_kernel_cases())
+    def test_matches_fraction_reference(self, m):
+        field, p = m.field, m.field.characteristic
+        ref_rows, ref_pivots = _reference_row_reduce(m)
+        reference = _reference_kernel(field, m.ncols, ref_rows, ref_pivots)
+        kernel = _integer_kernel(*m)
+        dense = kernel_basis(*m)
+        assert len(kernel) == len(dense) == len(reference) == m.ncols - len(ref_pivots)
+        free = [c for c in range(m.ncols) if c not in ref_pivots]
+        for vec, f, basis_vec, ref_vec in zip(kernel, free, dense, reference):
+            assert next(iter(vec)) == f  # the free column comes first
+            assert all(type(x) is int and x for x in vec.values())
+            if p:
+                assert vec[f] == 1 and all(0 < x < p for x in vec.values())
+            else:
+                assert vec[f] > 0
+                assert math.gcd(*vec.values()) == 1
+            # kernel_basis's vector, scaled by the entry at f
+            assert [field.mul(vec[f], x) for x in basis_vec] == [
+                vec.get(c, 0) for c in range(m.ncols)
+            ]
+            # the reference has 1 at f and 0 at the other free columns, so
+            # equal vectors span the same kernel
+            assert basis_vec == ref_vec
+            for row in m.rows:
+                assert field.mul(1, sum(x * row[c] for c, x in vec.items())) == 0
 
 
 class TestQuotientComplement:

@@ -52,6 +52,7 @@ from canring.twopoint import two_point_presentation
 
 QQ = FieldSpec(0)
 GF2 = FieldSpec(2)
+GF3 = FieldSpec(3)
 GF7 = FieldSpec(7)
 GFBIG = FieldSpec(2**61 - 1)
 
@@ -173,7 +174,7 @@ def reference_product(real, exponents, start=None):
     one linear factor at a time, in Fractions or mod p."""
     field = real.field
     p = field.characteristic
-    poly = list(start) if start is not None else [field.one]
+    poly = list(start) if start is not None else [field.of(1)]
     for pt, g in zip(real.divisor.points, exponents):
         if pt.is_infinity or (p and pt.value.denominator % p == 0):
             continue  # the point is infinite in this field
@@ -1001,6 +1002,38 @@ class TestOracle:
         assert brute_force_oracle(D, field, 5) == degrees
         gens = minimal_generators(D, field, 6)
         assert (gen_degrees(gens), minimal_relation_degrees(D, field, gens, 5)) == degrees
+
+    @pytest.mark.parametrize("field", [QQ, GFBIG], ids=str)
+    @pytest.mark.parametrize(
+        "alphas, degrees",
+        [
+            # the heaviest criterion-09 cases: their shifted ranks saturate
+            # at the kernel dimension
+            (("1/2", "2/3", "-1/3"), ([2, 2, 3, 3, 3], [5, 5, 6, 6, 6, 6])),
+            (("-2/3", "1", "2/3"), ([1, 2, 3, 3], [4, 5, 6])),
+            (("0", "1/4", "2/3"), ([1, 2, 3, 4], [4, 6, 7])),
+        ],
+    )
+    def test_heaviest_cases_match_the_engine(self, field, alphas, degrees):
+        D = QDivisor.of([0, 1, 2], [F(a) for a in alphas])
+        gens = minimal_generators(D, field, 16)
+        engine = (gen_degrees(gens), minimal_relation_degrees(D, field, gens, 15))
+        assert brute_force_oracle(D, field, 15) == engine == degrees
+
+    @pytest.mark.parametrize("point", [F("1/3"), F("2/9")], ids=str)
+    def test_point_reducing_to_inf(self, point):
+        # the ghost point of 5/2 at 1/3 or 2/9 sits at 0 in GF(3), as for inf
+        D, at_inf = QDivisor.of([point], [F("5/2")]), QDivisor.of(["inf"], [F("5/2")])
+        degrees = ([1, 1, 1, 2], [2, 3, 3])
+        for E in (D, at_inf):
+            gens = minimal_generators(E, GF3)
+            assert gen_degrees(gens) == degrees[0]
+            rels = relation_ideal(E, GF3, gens, 6)
+            assert [r.degree for r in rels] == degrees[1]
+            assert all(relation_evaluates_to_zero(E, GF3, gens, r) for r in rels)
+            assert brute_force_oracle(E, GF3, 6) == degrees
+        assert minimal_generators(D, GF3) == minimal_generators(at_inf, GF3)
+        assert relation_ideal(D, GF3, gens, 6) == rels
 
     def test_unspanned_degree_is_an_internal_error(self, monkeypatch):
         basis_sections = _Realization.basis_sections
