@@ -1,6 +1,10 @@
 """Command-line interface: divisor input, command dispatch, JSON and
 pretty reports.
 
+Each cmd_* handler returns its (report, lines, exit code); `main` alone
+emits it, as canonical JSON of the report under --json and as the lines
+otherwise, to stdout or to --output FILE.
+
 Exit codes: 0 success, 1 input error, 2 instability detected by scan,
 3 internal assertion failure or an oracle MISMATCH.  All numbers in JSON output are exact
 (integers or "num/den" strings); reports re-serialize byte-identically.
@@ -15,12 +19,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .conelattice import monomial_str
-from .divisor import (
-    QDivisor,
-    divisor_from_json,
-    divisor_to_json,
-    graded_dim,
-)
+from .divisor import QDivisor, divisor_from_json, divisor_to_json, graded_dim
 from .errors import CanringError, TrivialRingError
 from .exactla import FieldSpec
 from .presentation import (
@@ -35,6 +34,9 @@ from .presentation import (
 )
 from .ratapprox import format_fraction, parse_fraction
 from .twopoint import presentation_to_json, two_point_presentation
+
+
+Outcome = tuple[dict, list[str], int]  # (report, lines, exit code)
 
 
 def canonical_json(obj) -> str:
@@ -78,7 +80,9 @@ def _load_divisor(args) -> tuple[QDivisor, FieldSpec]:
     return D, FieldSpec(args.char or 0)
 
 
-def _emit(args, text: str) -> None:
+def _emit(args, report: dict, lines: list[str]) -> None:
+    """Write the report as canonical JSON under --json, else its lines."""
+    text = canonical_json(report) if args.json else "\n".join(lines)
     if args.output:
         try:
             with open(args.output, "w", encoding="utf-8") as fh:
@@ -89,25 +93,21 @@ def _emit(args, text: str) -> None:
         print(text)
 
 
-def cmd_dims(args) -> int:
+def cmd_dims(args) -> Outcome:
     D, field = _load_divisor(args)
     top = args.max_degree if args.max_degree is not None else 30
     rows = [{"d": d, "dim": graded_dim(D, d)} for d in range(top + 1)]
-    if args.json:
-        report = {
-            "command": "dims",
-            "divisor": divisor_to_json(D, field.characteristic),
-            "dims": rows,
-        }
-        _emit(args, canonical_json(report))
-    else:
-        lines = [f"graded dimensions of {D}"]
-        lines += [f"  d={row['d']:4d}  dim={row['dim']}" for row in rows]
-        _emit(args, "\n".join(lines))
-    return 0
+    report = {
+        "command": "dims",
+        "divisor": divisor_to_json(D, field.characteristic),
+        "dims": rows,
+    }
+    lines = [f"graded dimensions of {D}"]
+    lines += [f"  d={row['d']:4d}  dim={row['dim']}" for row in rows]
+    return report, lines, 0
 
 
-def cmd_twopoint(args) -> int:
+def cmd_twopoint(args) -> Outcome:
     D, field = _load_divisor(args)
     if D.n > 2:
         raise CanringError(f"twopoint needs at most 2 points, divisor has {D.n}")
@@ -122,125 +122,93 @@ def cmd_twopoint(args) -> int:
             "beta": format_fraction(beta),
             "trivial": True,
         }
-        _emit(args, canonical_json(report) if args.json else
-              f"degree {alpha + beta} < 0: the ring is trivial (constants only)")
-        return 0
-    if args.json:
-        report = {"command": "twopoint", "trivial": False}
-        report.update(presentation_to_json(pres))
-        _emit(args, canonical_json(report))
-    else:
-        lines = [
-            f"two-point ring for alpha={format_fraction(alpha)}, "
-            f"beta={format_fraction(beta)}",
-            f"  {len(pres.generators)} generators f_{-pres.neg_count}..f_{pres.pos_count}"
-            f" (degree, exponent):",
-        ]
-        for i, v in zip(pres.indices, pres.generators):
-            lines.append(f"    f_{i} = t^{v.c} u^{v.d}")
-        lines.append(f"  {len(pres.relations)} relations:")
-        for r in pres.relations:
-            rhs = f"f_{r.h}^{r.a}" + (f" f_{r.h + 1}^{r.b}" if r.b else "")
-            lines.append(f"    f_{r.i} f_{r.j} = {rhs}")
-        if pres.is_polynomial_ring:
-            lines.append("  (free polynomial ring)")
-        _emit(args, "\n".join(lines))
-    return 0
+        return report, [f"degree {alpha + beta} < 0: the ring is trivial (constants only)"], 0
+    report = {"command": "twopoint", "trivial": False}
+    report.update(presentation_to_json(pres))
+    lines = [
+        f"two-point ring for alpha={format_fraction(alpha)}, "
+        f"beta={format_fraction(beta)}",
+        f"  {len(pres.generators)} generators f_{-pres.neg_count}..f_{pres.pos_count}"
+        f" (degree, exponent):",
+    ]
+    for i, v in zip(pres.indices, pres.generators):
+        lines.append(f"    f_{i} = t^{v.c} u^{v.d}")
+    lines.append(f"  {len(pres.relations)} relations:")
+    for r in pres.relations:
+        rhs = f"f_{r.h}^{r.a}" + (f" f_{r.h + 1}^{r.b}" if r.b else "")
+        lines.append(f"    f_{r.i} f_{r.j} = {rhs}")
+    if pres.is_polynomial_ring:
+        lines.append("  (free polynomial ring)")
+    return report, lines, 0
 
 
-def cmd_gens(args) -> int:
+def cmd_gens(args) -> Outcome:
     D, field = _load_divisor(args)
     gens = minimal_generators(D, field, args.max_degree)
-    if args.json:
-        report = {
-            "command": "gens",
-            "config": divisor_to_json(D, field.characteristic),
-            "generators": [
-                {"degree": g.degree, "monomial": g.monomial.to_json()}
-                for g in gens
-            ],
-        }
-        _emit(args, canonical_json(report))
-    else:
-        lines = [f"minimal generators of {D} over {field}"]
-        lines += [
-            f"  degree {g.degree:4d}  {monomial_str(g.monomial)}" for g in gens
-        ]
-        lines.append(f"  ({len(gens)} generators)")
-        _emit(args, "\n".join(lines))
-    return 0
+    report = {
+        "command": "gens",
+        "config": divisor_to_json(D, field.characteristic),
+        "generators": [g.to_json() for g in gens],
+    }
+    lines = [f"minimal generators of {D} over {field}"]
+    lines += [f"  degree {g.degree:4d}  {monomial_str(g.monomial)}" for g in gens]
+    lines.append(f"  ({len(gens)} generators)")
+    return report, lines, 0
 
 
-def cmd_rels(args) -> int:
+def cmd_rels(args) -> Outcome:
     D, field = _load_divisor(args)
     gens = minimal_generators(D, field, args.max_degree)
     rels = relation_ideal(D, field, gens, args.truncation)
-    if args.json:
-        report = {
-            "command": "rels",
-            "config": divisor_to_json(D, field.characteristic),
-            "generators": [
-                {"degree": g.degree, "monomial": g.monomial.to_json()}
-                for g in gens
-            ],
-            "relations": [
-                {"degree": r.degree, "support_size": r.support_size} for r in rels
-            ],
-        }
-        _emit(args, canonical_json(report))
-    else:
-        lines = [f"minimal relations of {D} over {field}"]
-        for r in rels:
-            terms = " + ".join(
-                f"({format_fraction(c) if field.characteristic == 0 else c})*"
-                + "*".join(
-                    f"x{k + 1}^{e}" for k, e in enumerate(exps) if e
-                )
-                for exps, c in r.terms
-            )
-            lines.append(f"  degree {r.degree:4d}: {terms}")
-        lines.append(f"  ({len(rels)} minimal relations)")
-        _emit(args, "\n".join(lines))
-    return 0
+    report = {
+        "command": "rels",
+        "config": divisor_to_json(D, field.characteristic),
+        "generators": [g.to_json() for g in gens],
+        "relations": [r.summary() for r in rels],
+    }
+    lines = [f"minimal relations of {D} over {field}"]
+    for r in rels:
+        terms = " + ".join(
+            f"({format_fraction(c) if field.characteristic == 0 else c})*"
+            + "*".join(f"x{k + 1}^{e}" for k, e in enumerate(exps) if e)
+            for exps, c in r.terms
+        )
+        lines.append(f"  degree {r.degree:4d}: {terms}")
+    lines.append(f"  ({len(rels)} minimal relations)")
+    return report, lines, 0
 
 
-def cmd_groebner(args) -> int:
+def cmd_groebner(args) -> Outcome:
     D, field = _load_divisor(args)
     gens = minimal_generators(D, field, args.max_degree)
-    report_obj = groebner_leading_terms(D, field, gens, args.truncation)
-    if args.json:
-        report = {
-            "command": "groebner",
-            "config": divisor_to_json(D, field.characteristic),
-            "groebner": {
-                "truncation": report_obj.truncation_degree,
-                "order": report_obj.order,
-                "leading_terms": [list(e) for e in report_obj.leading_terms],
-            },
-        }
-        _emit(args, canonical_json(report))
-    else:
-        lines = [
-            f"Groebner leading terms of {D} over {field} "
-            f"(truncated at degree {report_obj.truncation_degree})"
-        ]
-        weights = [g.degree for g in gens]
-        for e in report_obj.leading_terms:
-            mono = "*".join(f"x{k + 1}^{x}" for k, x in enumerate(e) if x)
-            deg = sum(w * x for w, x in zip(weights, e))
-            lines.append(f"  degree {deg:4d}: {mono}")
-        lines.append(f"  ({len(report_obj.leading_terms)} minimal leading terms)")
-        _emit(args, "\n".join(lines))
-    return 0
+    gb = groebner_leading_terms(D, field, gens, args.truncation)
+    report = {
+        "command": "groebner",
+        "config": divisor_to_json(D, field.characteristic),
+        "groebner": {
+            "truncation": gb.truncation_degree,
+            "order": gb.order,
+            "leading_terms": [list(e) for e in gb.leading_terms],
+        },
+    }
+    lines = [
+        f"Groebner leading terms of {D} over {field} "
+        f"(truncated at degree {gb.truncation_degree})"
+    ]
+    for e in gb.leading_terms:
+        mono = "*".join(f"x{k + 1}^{x}" for k, x in enumerate(e) if x)
+        deg = sum(g.degree * x for g, x in zip(gens, e))
+        lines.append(f"  degree {deg:4d}: {mono}")
+    lines.append(f"  ({len(gb.leading_terms)} minimal leading terms)")
+    return report, lines, 0
 
 
-def cmd_scan(args) -> int:
+def cmd_scan(args) -> Outcome:
     D, field = _load_divisor(args)
-    chars = args.chars or [0, 2, 3, 5, 7]
     configs = []
     if args.points or args.divisor:
         configs.append((D.points, field.characteristic))
-    configs += generic_configs(D.n, args.configs, chars, args.seed)
+    configs += generic_configs(D.n, args.configs, args.chars, args.seed)
     report = stability_scan(
         D.alphas,
         configs,
@@ -251,24 +219,20 @@ def cmd_scan(args) -> int:
     )
     report["command"] = "scan"
     report["seed"] = args.seed
-    if args.json:
-        _emit(args, canonical_json(report))
-    else:
-        lines = [f"stability scan for alphas {report['alphas']} (seed {args.seed})"]
-        for idx, run in enumerate(report["runs"]):
-            cfg = run["config"]
-            if run["skipped"]:
-                lines.append(f"  run {idx:3d} char {cfg['char']:3d}: skipped ({run['reason']})")
-                continue
+    lines = [f"stability scan for alphas {report['alphas']} (seed {args.seed})"]
+    for idx, run in enumerate(report["runs"]):
+        head = f"  run {idx:3d} char {run['config']['char']:3d}:"
+        if run["skipped"]:
+            lines.append(f"{head} skipped ({run['reason']})")
+        else:
             degs = sorted(g["degree"] for g in run["generators"])
-            mark = "" if run.get("agrees", True) else "  <-- disagrees"
-            lines.append(f"  run {idx:3d} char {cfg['char']:3d}: degrees {degs}{mark}")
-        lines.append("stable" if report["stable"] else "UNSTABLE configuration detected")
-        _emit(args, "\n".join(lines))
-    return 0 if report["stable"] else 2
+            mark = "" if run["agrees"] else "  <-- disagrees"
+            lines.append(f"{head} degrees {degs}{mark}")
+    lines.append("stable" if report["stable"] else "UNSTABLE configuration detected")
+    return report, lines, 0 if report["stable"] else 2
 
 
-def cmd_oracle(args) -> int:
+def cmd_oracle(args) -> Outcome:
     D, field = _load_divisor(args)
     window = args.max_degree
     if window is None:
@@ -288,20 +252,16 @@ def cmd_oracle(args) -> int:
         minimal_relation_degrees(D, field, gens, window),
     )
     match = engine == oracle
-    if args.json:
-        report = {
-            "command": "oracle",
-            "config": divisor_to_json(D, field.characteristic),
-            "window": window,
-            "engine": {"generators": engine[0], "relations": engine[1]},
-            "oracle": {"generators": oracle[0], "relations": oracle[1]},
-            "match": match,
-        }
-        _emit(args, canonical_json(report))
-    else:
-        _emit(args, "MATCH" if match else
-              f"MISMATCH: engine {engine} vs oracle {oracle}")
-    return 0 if match else 3
+    report = {
+        "command": "oracle",
+        "config": divisor_to_json(D, field.characteristic),
+        "window": window,
+        "engine": {"generators": engine[0], "relations": engine[1]},
+        "oracle": {"generators": oracle[0], "relations": oracle[1]},
+        "match": match,
+    }
+    line = "MATCH" if match else f"MISMATCH: engine {engine} vs oracle {oracle}"
+    return report, [line], 0 if match else 3
 
 
 def _nonnegative(text: str) -> int:
@@ -355,7 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
     scan = command("scan", cmd_scan, "stability scan over configurations", window, truncation)
     scan.add_argument("--seed", type=int, default=0, help="seed for generic configurations")
     scan.add_argument("--configs", type=_nonnegative, default=6, help="number of generic configurations")
-    scan.add_argument("--chars", metavar="CSV", type=_int_csv, default=None, help="characteristics for scan")
+    scan.add_argument("--chars", metavar="CSV", type=_int_csv, default=[0, 2, 3, 5, 7],
+                      help="characteristics for scan")
     scan.add_argument("--groebner", action="store_true", help="compare leading-term sets as well")
     scan.add_argument("--relations", action="store_true",
                       help="report minimal relation degrees (never part of the verdict)")
@@ -389,7 +350,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        return args.func(args)
+        report, lines, code = args.func(args)
+        _emit(args, report, lines)
+        return code
     except CanringError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -110,7 +110,7 @@ def monomial_basis(D: QDivisor, d: int) -> list[GradedMonomial]:
     r = sum(b)
     if r < 0:
         return []
-    pinned = tuple(-bi for bi in b[2:])
+    pinned = tuple([-bi for bi in b[2:]])  # from a list: see presentation._word
     out = []
     for c1 in range(-b[0], r - b[0] + 1):
         c2 = -c1 - sum(pinned)
@@ -160,7 +160,8 @@ def build_cone_model(D: QDivisor) -> ConeModel:
             bounds.append((lo, hi))
         if bounds is None:
             continue
-        for head in itertools.product(*(range(lo, hi + 1) for lo, hi in bounds[:-1])):
+        # the argument tuple from a list, not a generator (see presentation._word)
+        for head in itertools.product(*[range(lo, hi + 1) for lo, hi in bounds[:-1]]):
             last = -sum(head)
             if bounds[-1][0] <= last <= bounds[-1][1]:
                 cube.append(GradedMonomial(d, head + (last,)))

@@ -37,6 +37,11 @@ class PointP1:
     def is_infinity(self) -> bool:
         return self.value is None
 
+    def reduces_to_infinity(self, p: int) -> bool:
+        """True at inf, and in characteristic p > 0 at a value whose
+        denominator p divides."""
+        return self.value is None or (p > 0 and self.value.denominator % p == 0)
+
     def __str__(self) -> str:
         return "inf" if self.value is None else format_fraction(self.value)
 
@@ -93,10 +98,11 @@ class DenominatorData:
 def denominator_data(D: QDivisor) -> DenominatorData:
     qs = D.denominators
     ell = math.lcm(*qs)
-    ell_i = tuple(
-        math.lcm(*(q for j, q in enumerate(qs) if j != i)) if D.n > 1 else 1
+    # the argument tuples from lists, not generators (see presentation._word)
+    ell_i = tuple([
+        math.lcm(*[q for j, q in enumerate(qs) if j != i]) if D.n > 1 else 1
         for i in range(D.n)
-    )
+    ])
     return DenominatorData(ell, ell_i)
 
 
@@ -121,8 +127,8 @@ def padded(D: QDivisor, characteristic: int = 0) -> QDivisor:
     """
     if D.n >= 2:
         return D
-    pt, p = D.points[0], characteristic
-    ghost = PointP1.of(0 if pt.is_infinity or (p and pt.value.denominator % p == 0) else None)
+    pt = D.points[0]
+    ghost = PointP1.of(0 if pt.reduces_to_infinity(characteristic) else None)
     return QDivisor(D.points + (ghost,), D.alphas + (Fraction(0),))
 
 

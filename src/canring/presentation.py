@@ -68,6 +68,9 @@ class GeneratorRecord:
     degree: int
     monomial: GradedMonomial
 
+    def to_json(self) -> dict:
+        return {"degree": self.degree, "monomial": self.monomial.to_json()}
+
 
 @dataclass(frozen=True)
 class RelationPoly:
@@ -84,6 +87,10 @@ class RelationPoly:
     @property
     def support_size(self) -> int:
         return len(self.terms)
+
+    def summary(self) -> dict:
+        """The reported record: degree and support size, not the terms."""
+        return {"degree": self.degree, "support_size": self.support_size}
 
 
 @dataclass(frozen=True)
@@ -125,7 +132,7 @@ class _Realization:
         p = field.characteristic
         seen = set()  # the reduced points, None for infinity
         for pt in self.divisor.points:
-            if pt.is_infinity or (p and pt.value.denominator % p == 0):
+            if pt.reduces_to_infinity(p):
                 key, q, a = None, 0, 0  # infinite, or reduces to the infinite point
             else:
                 key = field.of(pt.value)
@@ -704,9 +711,7 @@ def stability_scan(
         try:
             D = QDivisor.of(points, alphas)
             gens = minimal_generators(D, field, up_to)
-            entry["generators"] = [
-                {"degree": g.degree, "monomial": g.monomial.to_json()} for g in gens
-            ]
+            entry["generators"] = [g.to_json() for g in gens]
             if with_groebner:
                 report = groebner_leading_terms(D, field, gens, truncation)
                 entry["groebner"] = {
@@ -715,9 +720,7 @@ def stability_scan(
                 }
             if with_relations:
                 rels = relation_ideal(D, field, gens, truncation)
-                entry["relations"] = [
-                    {"degree": r.degree, "support_size": r.support_size} for r in rels
-                ]
+                entry["relations"] = [r.summary() for r in rels]
             entry["skipped"] = False
         except PointCollisionError as exc:
             entry["skipped"] = True

@@ -241,6 +241,37 @@ class TestScan:
             "UNSTABLE configuration detected\n"
         )
 
+    @pytest.mark.parametrize("chars", ["", ","], ids=["empty", "comma"])
+    def test_empty_chars_scan_the_given_points_only(self, capsys, chars):
+        code, out, _ = run(
+            capsys,
+            "scan", "--alphas", "1/2,1/3", "--points", "0,1", "--char", "5",
+            "--configs", "1", "--chars", chars, "--json",
+        )
+        assert code == 0
+        assert [run_entry["config"] for run_entry in json.loads(out)["runs"]] == [
+            {"char": 5, "points": ["0", "1"]}
+        ]
+
+    def test_empty_chars_scan_the_divisor_file_only(self, capsys, tmp_path):
+        path = tmp_path / "d.json"
+        path.write_text('{"points": ["inf", "0"], "alphas": ["1/2", "1/3"]}')
+        code, out, _ = run(
+            capsys, "scan", "--divisor", str(path), "--configs", "1", "--chars", "", "--json",
+        )
+        assert code == 0
+        assert [run_entry["config"] for run_entry in json.loads(out)["runs"]] == [
+            {"char": 0, "points": ["inf", "0"]}
+        ]
+
+    @pytest.mark.parametrize("chars", ["", ","], ids=["empty", "comma"])
+    def test_empty_chars_without_points_is_an_error(self, capsys, chars):
+        code, out, err = run(
+            capsys, "scan", "--alphas", "1/2,1/3", "--configs", "1", "--chars", chars,
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: scan evaluated none of its 0 configurations\n"
+
     def test_planted_unstable_config_exit_two(self, capsys):
         # chords divisor with its concurrent configuration planted via --points
         code, out, _ = run(
@@ -558,3 +589,21 @@ class TestPlumbing:
         assert code == 0
         assert out == ""
         assert json.loads(path.read_text())["dims"][0] == {"d": 0, "dim": 1}
+
+    @pytest.mark.parametrize("argv, exit_code", [
+        (["dims", "--alphas", "1/2", "--max-degree", "4"], 0),
+        (["twopoint", "--alphas", "1/2,1/3"], 0),
+        (["gens", "--alphas", "-1/2,1/3,1/5"], 0),
+        (["rels", "--alphas", "-1/2,1/3,1/5", "--truncation", "35"], 0),
+        (["groebner", "--alphas", "-1/2,1/3,1/5", "--truncation", "35"], 0),
+        (["scan", "--alphas", "-1/2,-1/2,1/3,1/3,1/5,1/5", "--points", "0,1,2,3,4,9/5",
+          "--configs", "2", "--chars", "0", "--seed", "3"], 2),
+        (["oracle", "--alphas", "1/2,1/3"], 0),
+    ], ids=lambda v: v[0] if isinstance(v, list) else None)
+    @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["plain", "json"])
+    def test_output_file_holds_the_stdout_bytes(self, capsys, tmp_path, argv, exit_code, mode):
+        code, out, err = run(capsys, *argv, *mode)
+        assert (code, err) == (exit_code, "")
+        path = tmp_path / "report"
+        assert run(capsys, *argv, *mode, "--output", str(path)) == (exit_code, "", "")
+        assert path.read_bytes() == out.encode()
