@@ -5,7 +5,8 @@ Each cmd_* handler returns its (report, lines, exit code); `main` alone
 emits it, as canonical JSON of the report under --json and as the lines
 otherwise, to stdout or to --output FILE.
 
-Exit codes: 0 success, 1 input error, 2 instability detected by scan,
+Exit codes: 0 success, 1 input error (a window too large for memory
+included), 2 instability detected by scan,
 3 internal assertion failure or an oracle MISMATCH.  All numbers in JSON output are exact
 (integers or "num/den" strings); reports re-serialize byte-identically.
 """
@@ -355,6 +356,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return code
     except CanringError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except (MemoryError, OverflowError) as exc:
+        # a degree window or truncation too large to allocate its tables
+        print(f"error: the requested degrees do not fit in memory ({type(exc).__name__})", file=sys.stderr)
         return 1
     except AssertionError as exc:
         print(f"internal assertion failed: {exc}", file=sys.stderr)

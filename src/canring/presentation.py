@@ -41,6 +41,7 @@ from .divisor import (
     degree_bounds,
     denominator_data,
     floor_divisor,
+    graded_dim,
     padded,
 )
 from .errors import (
@@ -120,13 +121,17 @@ Section = tuple[list[int], int]  # (row, den), see the module docstring
 
 class _Realization:
     """A divisor with its points embedded in a concrete field; every row of
-    a graded piece is rendered by render_exponents."""
+    a graded piece is rendered by render_exponents.  packed(d) lists dim S_c
+    and K(c) = sum_i floor(c alpha_i) 2^i for c <= d.  As floor(x + y) -
+    floor(x) - floor(y) is 0 or 1, bit i of K(d) - K(c) - K(d - c) is set
+    exactly when floor(c alpha_i) + floor((d - c) alpha_i) < floor(d alpha_i)."""
 
     def __init__(self, D: QDivisor, field: FieldSpec):
         self.divisor = padded(D, field.characteristic)
         self.field = field
         self._floors: dict[int, list[int]] = {}
         self._r: dict[int, int] = {}  # sum of the floors, stored with them
+        self._dims, self._keys = [1], [0]  # dim S_c and K(c) by c, grown by packed
         self._denominators: list[int] = []  # q_i, or 0 at an infinite point
         self._powers: list[list[list[int]]] = []  # (q_i t - a_i)^k by k, grown on demand
         p = field.characteristic
@@ -158,6 +163,12 @@ class _Realization:
 
     def dim(self, d: int) -> int:
         return max(self.r(d) + 1, 0)
+
+    def packed(self, d: int) -> tuple[list[int], list[int]]:
+        for c in range(len(self._keys), d + 1):
+            self._dims.append(self.dim(c))
+            self._keys.append(sum(b << i for i, b in enumerate(self.floors(c))))
+        return self._dims, self._keys
 
     def basis(self, d: int) -> list[GradedMonomial]:
         return monomial_basis(self.divisor, d)
@@ -245,32 +256,29 @@ def _pregen_subsets(real: _Realization, d: int) -> Optional[set[frozenset[int]]]
     dim S_d - |cap A|.  The size guard is needed: past it the E_i are
     dependent and the span can be smaller (alphas -3/2, -1/3, 2/3, 3/2 at
     inf, 0, 1, -1: degree 6 has dim 3 and minimal subsets {0, 3}, {1, 2},
-    whose span has rank 2, so degree 6 has a generator).
+    whose span has rank 2, so degree 6 has a generator).  Each A_c is read
+    as the bitmask K(d) - K(c) - K(d - c) of _Realization.packed.
 
     Returns None when the degree is certified fully pregenerated: the
     minimal subsets have empty intersection (some split with no defect
     included) and cover at most dim S_d points.  Else returns the
     inclusion-minimal subsets, whose defect sections span sum_A V_A.
     """
-    floors_d = real.floors(d)
-    subsets: set[frozenset[int]] = set()
+    dims, keys = real.packed(d)
+    masks: set[int] = set()
     for c in range(1, d // 2 + 1):
-        if real.dim(c) == 0 or real.dim(d - c) == 0:
-            continue
-        fc, fdc = real.floors(c), real.floors(d - c)
-        A = frozenset(
-            i for i in range(real.divisor.n) if fc[i] + fdc[i] != floors_d[i]
-        )
-        if not A:
-            return None
-        subsets.add(A)
-    minimal = {
-        A for A in subsets if not any(B < A for B in subsets)
-    }
-    if minimal and len(frozenset.union(*minimal)) <= real.dim(d):
-        if not frozenset.intersection(*minimal):
-            return None
-    return minimal
+        if dims[c] and dims[d - c]:
+            A = keys[d] - keys[c] - keys[d - c]
+            if not A:
+                return None
+            masks.add(A)
+    minimal = [A for A in masks if not any(B & A == B != A for B in masks)]
+    cover, common = 0, -1  # union and intersection of the minimal subsets
+    for A in minimal:
+        cover, common = cover | A, common & A
+    if cover.bit_count() <= dims[d] and not common:
+        return None
+    return {frozenset(i for i in range(real.divisor.n) if A >> i & 1) for A in minimal}
 
 
 def _default_windows(D: QDivisor) -> tuple[int, int]:
@@ -696,9 +704,18 @@ def stability_scan(
     multisets can be reported as well but never affect the verdict: their
     stability is an experimental observation, not an asserted property.
     Configurations whose points collide after reduction are skipped and
-    recorded; raises CanringError when no configuration is left to judge.
+    recorded; raises CanringError when no configuration is left to judge,
+    or when every graded piece of the window is zero, so that no generator
+    could be compared (dim S_d depends on the coefficients alone).
     """
     alphas = tuple(Fraction(a) for a in alphas)
+    coefficients = QDivisor.of(range(len(alphas)), alphas)
+    window = _default_windows(coefficients)[0] if up_to is None else up_to
+    # S_d = 0 for all d >= 1 in negative degree; else S_ell != 0 ends any() by d = ell
+    if coefficients.degree < 0 or not any(graded_dim(coefficients, d) for d in range(1, window)):
+        raise CanringError(
+            f"no degree 1 <= d < {window} has a nonzero graded piece: the scan compares no generator"
+        )
     runs = []
     for points, char in configs:
         field = FieldSpec(char)
@@ -748,9 +765,7 @@ def stability_scan(
     if sum(alphas) > 0:
         # generators at or above this degree are stably selectable by the
         # general theory; disagreements can only involve lower degrees
-        report["xgen_threshold"] = xgen_threshold(
-            QDivisor.of(range(len(alphas)), alphas)
-        )
+        report["xgen_threshold"] = xgen_threshold(coefficients)
     if with_relations:
         report["relation_degrees_agree"] = len({degrees(e, "relations") for e in evaluated}) == 1
     return report

@@ -49,9 +49,10 @@ class TwoPointPresentation:
 
     def generator(self, i: int) -> LatticeVec2:
         """Generator by chain index, -s <= i <= r; IndexError outside."""
-        if i not in self.indices:
+        k = i + self.neg_count
+        if not 0 <= k < len(self.generators):
             raise IndexError(f"generator index {i} outside -{self.neg_count}..{self.pos_count}")
-        return self.generators[i + self.neg_count]
+        return self.generators[k]
 
     @property
     def indices(self) -> range:

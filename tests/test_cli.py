@@ -158,6 +158,19 @@ class TestRelsAndGroebner:
         assert report["groebner"]["leading_terms"] == [[0, 0, 2]]
         assert report["groebner"]["truncation"] == 62
 
+    @pytest.mark.parametrize("command", ["rels", "groebner"])
+    @pytest.mark.parametrize("truncation", [2 * 10**18, 10**19])
+    def test_truncation_too_large_for_memory_is_an_error(self, capsys, command, truncation):
+        # 2 * 10**18 slots exceed the largest list Python allocates, so the
+        # coin-change table is refused before any allocation (MemoryError);
+        # 10**19 is no index-sized integer (OverflowError)
+        code, out, err = run(
+            capsys, command, "--alphas=-1/2,1/3,1/5", "--points", "inf,0,1",
+            "--truncation", str(truncation),
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: the requested degrees do not fit in memory (")
+
 
 class TestScan:
     def test_stable_scan_exit_zero(self, capsys):
@@ -204,6 +217,20 @@ class TestScan:
         )
         assert (code, out) == (1, "")
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "alphas, window", [("1/2,1/3", "1"), ("-1/2,1/3,1/5", "5")]
+    )
+    def test_window_of_zero_pieces_is_an_error(self, capsys, alphas, window):
+        # no generator would be compared, so no verdict is printed
+        code, out, err = run(
+            capsys, "scan", f"--alphas={alphas}", "--configs", "1", "--max-degree", window,
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: no degree 1 <= d < {window} has a nonzero graded piece:"
+            " the scan compares no generator\n"
+        )
 
     def test_plain_report_with_skipped_runs(self, capsys):
         code, out, _ = run(

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from canring import presentation
@@ -37,6 +37,7 @@ from canring.presentation import (
     RelationPoly,
     _MonomialEvaluator,
     _Realization,
+    _pregen_subsets,
     _word,
     brute_force_oracle,
     generic_configs,
@@ -423,6 +424,15 @@ def _certificate_cases(draw):
     return field, QDivisor.of(points, alphas)
 
 
+@st.composite
+def _packed_cases(draw):
+    """A divisor on one to six points (a one-point divisor is padded),
+    coefficients of either sign, and a degree up to 60."""
+    points = draw(st.permutations(_CERTIFICATE_POOL))[: draw(st.integers(1, 6))]
+    alphas = [Fraction(draw(st.integers(-5, 5)), draw(st.integers(1, 7))) for _ in points]
+    return QDivisor.of(points, alphas), draw(st.integers(1, 60))
+
+
 class TestPregeneratedCertificate:
     """Where the minimal defect subsets cover at most dim S_d points, the
     products of degree d span a space of dimension dim S_d - |cap A|."""
@@ -435,6 +445,24 @@ class TestPregeneratedCertificate:
         gens = minimal_generators(GUARDED, field)
         assert gen_degrees(gens) == [2, 3, 6]
         assert gen_degrees(gens) == brute_force_oracle(GUARDED, field, degree_bounds(GUARDED)[0])[0]
+
+    @settings(max_examples=300, deadline=None)
+    @given(_packed_cases())
+    @example((GUARDED, 6))
+    def test_packed_certificate_matches_frozenset_reference(self, case):
+        D, d = case
+        real = _Realization(D, QQ)
+        minimal = minimal_defect_subsets(real, d)
+        empty_defect = any(
+            real.dim(c) and real.dim(d - c)
+            and [x + y for x, y in zip(real.floors(c), real.floors(d - c))] == real.floors(d)
+            for c in range(1, d)
+        )
+        covered = bool(minimal) and len(frozenset.union(*minimal)) <= real.dim(d)
+        if empty_defect or (covered and not frozenset.intersection(*minimal)):
+            assert _pregen_subsets(real, d) is None
+        else:
+            assert _pregen_subsets(real, d) == minimal
 
     @settings(max_examples=80, deadline=None)
     @given(_certificate_cases())
@@ -1128,6 +1156,25 @@ class TestStabilityScan:
             stability_scan([F("1/2"), F("1/2")], [((0, 2), 2)])
         with pytest.raises(CanringError):
             stability_scan([F("1/2"), F("1/2")], [])
+
+    @pytest.mark.parametrize(
+        "alphas, up_to",
+        [
+            ([F("1/2"), F("1/3")], 1),
+            ([F("-1/2"), F("1/3"), F("1/5")], 6),  # dim S_d = 0 for d < 6
+            ([F("-1/2"), F("1/4")], None),
+            ([F("-1/2"), F("1/4")], 10**12),  # negative degree: refused at once
+        ],
+    )
+    def test_window_of_zero_pieces_raises(self, alphas, up_to):
+        configs = [(tuple(range(len(alphas))), 0)]
+        with pytest.raises(CanringError, match=f"no degree 1 <= d < {up_to or 1} has"):
+            stability_scan(alphas, configs, up_to)
+
+    def test_window_reaching_a_nonzero_piece_is_judged(self):
+        report = stability_scan([F("-1/2"), F("1/3"), F("1/5")], [((None, 0, 1), 0)], 7)
+        assert report["stable"]
+        assert [g["degree"] for g in report["runs"][0]["generators"]] == [6]
 
     def test_generic_configs_deterministic(self):
         a = generic_configs(3, 4, [0, 2], seed=9)
