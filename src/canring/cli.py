@@ -6,7 +6,7 @@ emits it, as canonical JSON of the report under --json and as the lines
 otherwise, to stdout or to --output FILE.
 
 Exit codes: 0 success, 1 input error (a window too large for memory
-included), 2 instability detected by scan,
+included) or a closed stdout, 2 instability detected by scan,
 3 internal assertion failure or an oracle MISMATCH.  All numbers in JSON output are exact
 (integers or "num/den" strings); reports re-serialize byte-identically.
 """
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -91,7 +92,7 @@ def _emit(args, report: dict, lines: list[str]) -> None:
         except OSError as exc:
             raise CanringError(f"cannot write report: {exc}") from exc
     else:
-        print(text)
+        print(text, flush=True)  # a closed stdout raises here, inside main
 
 
 def cmd_dims(args) -> Outcome:
@@ -354,6 +355,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         report, lines, code = args.func(args)
         _emit(args, report, lines)
         return code
+    except BrokenPipeError:
+        # the reader closed stdout: send the unwritten rest to devnull, so
+        # that the flush at interpreter exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except CanringError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

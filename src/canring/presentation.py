@@ -10,14 +10,16 @@ contribute the constant section 1.
 
 Products are formed over the integers: a finite point a/q contributes the
 factor (q t - a), whose powers each realization tabulates (in GF(p) the
-factor is (t - p_i), reduced mod p).  A section is the pair (row, den): an
-integer row over one positive denominator, normalised so that
-gcd(den, *row) == 1, in the coordinates of the monic factors (t - p_i); in
-GF(p) row holds residues and den is 1.  Rendering, products and
-elimination stay on these rows, since rank and span ignore the scale of a
-row.  Fractions are built only where a value is read: the relation
-coefficients and the substitution check.  The oracle stays on integer
-rows throughout (brute_force_oracle).
+factor is (t - p_i), reduced mod p).  A product of sections of degrees c
+and d - c gains that factor at each point of the split's defect subset, a
+bitmask read off the realization's packed floor table (_Realization).  A
+section is the pair (row, den): an integer row over one positive
+denominator, normalised so that gcd(den, *row) == 1, in the coordinates of
+the monic factors (t - p_i); in GF(p) row holds residues and den is 1.
+Rendering, products and elimination stay on these rows, since rank and
+span ignore the scale of a row.  Fractions are built only where a value is
+read: the relation coefficients and the substitution check.  The oracle
+stays on integer rows throughout (brute_force_oracle).
 
 Relations and Groebner leading terms come from one degreewise pass that
 renders only the x_0-free standard monomials and the new leading terms:
@@ -121,17 +123,19 @@ Section = tuple[list[int], int]  # (row, den), see the module docstring
 
 class _Realization:
     """A divisor with its points embedded in a concrete field; every row of
-    a graded piece is rendered by render_exponents.  packed(d) lists dim S_c
-    and K(c) = sum_i floor(c alpha_i) 2^i for c <= d.  As floor(x + y) -
-    floor(x) - floor(y) is 0 or 1, bit i of K(d) - K(c) - K(d - c) is set
-    exactly when floor(c alpha_i) + floor((d - c) alpha_i) < floor(d alpha_i)."""
+    a graded piece is rendered by render_exponents.  Its only per-degree
+    state is packed(d), the lists r(c) = deg floor(cD) and K(c) = sum_i
+    floor(c alpha_i) 2^i for 0 <= c <= d.  As floor(x + y) - floor(x) -
+    floor(y) is 0 or 1, bit i of K(d) - K(c) - K(d - c) is set exactly when
+    floor(c alpha_i) + floor((d - c) alpha_i) < floor(d alpha_i): that mask
+    is the defect subset of the split (c, d - c), the points i where
+    S_c S_{d-c} = u^d H^0(floor(cD) + floor((d-c)D)) vanishes in degree d."""
 
     def __init__(self, D: QDivisor, field: FieldSpec):
         self.divisor = padded(D, field.characteristic)
         self.field = field
-        self._floors: dict[int, list[int]] = {}
-        self._r: dict[int, int] = {}  # sum of the floors, stored with them
-        self._dims, self._keys = [1], [0]  # dim S_c and K(c) by c, grown by packed
+        self._r: list[int] = []  # r(c) by c, grown by packed
+        self._keys: list[int] = []  # K(c) by c, grown by packed
         self._denominators: list[int] = []  # q_i, or 0 at an infinite point
         self._powers: list[list[list[int]]] = []  # (q_i t - a_i)^k by k, grown on demand
         p = field.characteristic
@@ -150,28 +154,18 @@ class _Realization:
             self._denominators.append(q)
             self._powers.append([[1], [field.neg(a), q]] if q else [[1]])
 
-    def floors(self, d: int) -> list[int]:
-        if d not in self._floors:
-            b = self._floors[d] = floor_divisor(self.divisor, d)
-            self._r[d] = sum(b)
-        return self._floors[d]
+    def packed(self, d: int) -> tuple[list[int], list[int]]:
+        for c in range(len(self._keys), d + 1):
+            b = floor_divisor(self.divisor, c)
+            self._r.append(sum(b))
+            self._keys.append(sum(x << i for i, x in enumerate(b)))
+        return self._r, self._keys
 
     def r(self, d: int) -> int:
-        if d not in self._r:
-            self.floors(d)
-        return self._r[d]
+        return self.packed(d)[0][d]
 
     def dim(self, d: int) -> int:
         return max(self.r(d) + 1, 0)
-
-    def packed(self, d: int) -> tuple[list[int], list[int]]:
-        for c in range(len(self._keys), d + 1):
-            self._dims.append(self.dim(c))
-            self._keys.append(sum(b << i for i, b in enumerate(self.floors(c))))
-        return self._dims, self._keys
-
-    def basis(self, d: int) -> list[GradedMonomial]:
-        return monomial_basis(self.divisor, d)
 
     def _power(self, i: int, k: int) -> list[int]:
         """(q_i t - a_i)^k at a finite point."""
@@ -179,15 +173,6 @@ class _Realization:
         while len(table) <= k:
             table.append(_poly_mul(self.field, table[-1], table[1]))
         return table[k]
-
-    def _product(self, poly: list[int], exponents: Sequence[int]) -> tuple[list[int], int]:
-        """poly times prod_i (q_i t - a_i)^(g_i), with prod_i q_i^(g_i)."""
-        den = 1
-        for i, g in enumerate(exponents):
-            if g and self._denominators[i]:
-                poly = _poly_mul(self.field, poly, self._power(i, g))
-                den *= self._denominators[i] ** g
-        return poly, den
 
     def _to_field(self, poly: list[int], den: int, width: int) -> Section:
         """The section poly / den, padded to width coordinates and
@@ -205,45 +190,48 @@ class _Realization:
 
     def render_exponents(self, exponents: Sequence[int], width: int) -> Section:
         """Coefficients of prod over finite points of (t - p_i)^(g_i)."""
-        return self._to_field(*self._product([1], exponents), width)
+        poly, den = [1], 1
+        for i, g in enumerate(exponents):
+            if g and self._denominators[i]:
+                poly = _poly_mul(self.field, poly, self._power(i, g))
+                den *= self._denominators[i] ** g
+        return self._to_field(poly, den, width)
 
     def render_monomial(self, mono: GradedMonomial) -> Section:
         """The section of u^d prod t_i^{c_i}: exponents c + floor(dD), the
-        row of basis_sections(d) that the monomial indexes."""
-        floors = self.floors(mono.d)
-        return self.render_exponents([c + b for c, b in zip(mono.c, floors)], self.r(mono.d) + 1)
+        row of defect_sections(d, 0) that the monomial indexes."""
+        floors = floor_divisor(self.divisor, mono.d)
+        return self.render_exponents([c + b for c, b in zip(mono.c, floors)], sum(floors) + 1)
 
     def multiply(self, d1: int, s1: Section, d2: int, s2: Section) -> Section:
-        """Product of sections, expressed in the coordinates of degree d1+d2."""
+        """Product of sections in the coordinates of degree d = d1 + d2:
+        times (q_i t - a_i) at each finite point of the split's defect subset."""
         d = d1 + d2
-        b, b1, b2 = self.floors(d), self.floors(d1), self.floors(d2)
+        rs, keys = self.packed(d)
+        defect = keys[d] - keys[d1] - keys[d2]
         (v1, den1), (v2, den2) = s1, s2
-        poly, excess_den = self._product(
-            _poly_mul(self.field, v1, v2),
-            [bi - bi1 - bi2 for bi, bi1, bi2 in zip(b, b1, b2)],
-        )
-        return self._to_field(poly, den1 * den2 * excess_den, self.r(d) + 1)
+        poly, den = _poly_mul(self.field, v1, v2), den1 * den2
+        for i, q in enumerate(self._denominators):
+            if defect >> i & 1 and q:
+                poly = _poly_mul(self.field, poly, self._powers[i][1])
+                den *= q
+        return self._to_field(poly, den, rs[d] + 1)
 
-    def defect_sections(self, d: int, subset: frozenset[int]) -> list[Section]:
-        """A basis of V_A = u^d H^0(floor(dD) - sum_{i in A} P_i), A = subset,
-        in degree-d coordinates, empty when it is zero: with e = r(d) - |A|
-        and g the indicator of A, row k = 0..e renders g + (k, e - k, 0, ...),
-        vanishing to order g_0 + k at the first point."""
-        e = self.r(d) - len(subset)
-        g = [int(i in subset) for i in range(self.divisor.n)]
-        return [
-            self.render_exponents([g[0] + k, g[1] + e - k, *g[2:]], self.r(d) + 1)
-            for k in range(e + 1)
-        ]
-
-    def basis_sections(self, d: int) -> list[Section]:
-        """The monomial basis of S_d, which pins every later point at its
-        floor: the defect family of the empty subset, in the same order."""
-        return self.defect_sections(d, frozenset())
+    def defect_sections(self, d: int, mask: int) -> list[Section]:
+        """A basis of V_A = u^d H^0(floor(dD) - sum_{i in A} P_i), A the
+        set bits of mask, in degree-d coordinates, empty when it is zero:
+        with e = r(d) - |A| and g the indicator of A, row k = 0..e renders
+        g + (k, e - k, 0, ...), vanishing to order g_0 + k at the first
+        point.  Mask 0 gives the monomial basis of S_d in its order, which
+        pins every later point at its floor."""
+        r = self.r(d)
+        e = r - mask.bit_count()
+        g = [mask >> i & 1 for i in range(self.divisor.n)]
+        return [self.render_exponents([g[0] + k, g[1] + e - k, *g[2:]], r + 1) for k in range(e + 1)]
 
 
-def _pregen_subsets(real: _Realization, d: int) -> Optional[set[frozenset[int]]]:
-    """Defect subsets A_c of the products S_c * S_{d-c}.
+def _pregen_subsets(real: _Realization, d: int) -> Optional[set[int]]:
+    """Defect subsets A_c of the products S_c * S_{d-c}, as bitmasks.
 
     S_c S_{d-c} is V_A = u^d H^0(floor(dD) - sum_{i in A} P_i) for A = A_c,
     the sections of degree d that vanish at the points of A (at infinity:
@@ -256,29 +244,29 @@ def _pregen_subsets(real: _Realization, d: int) -> Optional[set[frozenset[int]]]
     dim S_d - |cap A|.  The size guard is needed: past it the E_i are
     dependent and the span can be smaller (alphas -3/2, -1/3, 2/3, 3/2 at
     inf, 0, 1, -1: degree 6 has dim 3 and minimal subsets {0, 3}, {1, 2},
-    whose span has rank 2, so degree 6 has a generator).  Each A_c is read
-    as the bitmask K(d) - K(c) - K(d - c) of _Realization.packed.
+    whose span has rank 2, so degree 6 has a generator).  A_c is K(d) -
+    K(c) - K(d - c) (_Realization).
 
     Returns None when the degree is certified fully pregenerated: the
     minimal subsets have empty intersection (some split with no defect
     included) and cover at most dim S_d points.  Else returns the
     inclusion-minimal subsets, whose defect sections span sum_A V_A.
     """
-    dims, keys = real.packed(d)
+    rs, keys = real.packed(d)
     masks: set[int] = set()
     for c in range(1, d // 2 + 1):
-        if dims[c] and dims[d - c]:
+        if rs[c] >= 0 and rs[d - c] >= 0:
             A = keys[d] - keys[c] - keys[d - c]
             if not A:
                 return None
             masks.add(A)
-    minimal = [A for A in masks if not any(B & A == B != A for B in masks)]
+    minimal = {A for A in masks if not any(B & A == B != A for B in masks)}
     cover, common = 0, -1  # union and intersection of the minimal subsets
     for A in minimal:
         cover, common = cover | A, common & A
-    if cover.bit_count() <= dims[d] and not common:
+    if cover.bit_count() <= rs[d] + 1 and not common:
         return None
-    return {frozenset(i for i in range(real.divisor.n) if A >> i & 1) for A in minimal}
+    return minimal
 
 
 def _default_windows(D: QDivisor) -> tuple[int, int]:
@@ -335,12 +323,12 @@ def minimal_generators(
         if subsets is None:
             continue  # certified: the products fill the graded piece
         span = RowBasis(field)
-        for A in sorted(subsets, key=sorted):
+        for A in subsets:
             for row, _ in real.defect_sections(d, A):
                 span.add(row)
         if span.rank == dim:
             continue
-        basis, sections = real.basis(d), real.basis_sections(d)
+        basis, sections = monomial_basis(real.divisor, d), real.defect_sections(d, 0)
         # basis element k vanishes to order k at the first point
         for k in reversed(range(dim)):
             if span.add(sections[k][0]):
@@ -446,11 +434,10 @@ def _relation(
     power = 0  # of x_0
     while True:
         block = blocks[d][0]
-        entries = free[d] | {e: entry}
         inv = field.inv(field.mul(combo[e], entry[1]))
         acc = [field.zero] * (block[1] if block else 0)
         for t, c in combo.items():
-            _, kappa, quotient = entries[t]
+            _, kappa, quotient = entry if t == e else free[d][t]
             if t is not None:
                 relation[(power,) + t[1:]] = field.mul(field.mul(c, kappa), inv)
             acc = [field.add(x, field.mul(c, q)) for x, q in zip(acc, quotient)]
@@ -840,7 +827,7 @@ def brute_force_oracle(
         current, dim = len(ws) - len(kern), real.dim(d)
         if current == dim:
             continue
-        for _, vec in sorted(zip(real.basis(d), real.basis_sections(d)), key=lambda p: p[0].c):
+        for vec in real.defect_sections(d, 0):
             trial = rows + [vec[0]]
             new_rank = rank(field, trial, width)
             if new_rank > current:

@@ -442,6 +442,14 @@ class TestPointAtInfinityModP:
         )
 
 
+def _child_env():
+    """The environment of a `python -m canring` child that imports this checkout."""
+    src = str(Path(canring.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 class TestPlumbing:
     def test_json_roundtrip_byte_identical(self, capsys):
         code, out, _ = run(
@@ -508,9 +516,7 @@ class TestPlumbing:
         assert err == "internal assertion failed: monomial basis failed to span degree 6\n"
 
     def test_python_dash_m_runs_main(self, capsys):
-        src = str(Path(canring.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        env = _child_env()
         argv = ["gens", "--alphas=-1/2,1/3,1/5", "--points", "inf,0,1", "--json"]
         proc = subprocess.run(
             [sys.executable, "-m", "canring", *argv],
@@ -524,6 +530,22 @@ class TestPlumbing:
         )
         assert (proc.returncode, proc.stdout) == (1, "")
         assert proc.stderr == "error: provide --divisor FILE or --alphas CSV\n"
+
+    def test_closed_stdout_exits_one_without_traceback(self):
+        # the read end of stdout is closed before the child starts, so its
+        # first write fails with a broken pipe, whatever the timing
+        env = _child_env()
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "canring", "dims", "--alphas", "1/2,1/3", "--max-degree", "5"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
 
     def test_input_error_exit_one(self, capsys):
         code, _, err = run(capsys, "gens", "--alphas", "1/2", "--points", "0,1")

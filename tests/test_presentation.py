@@ -10,7 +10,7 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from canring import presentation
-from canring.conelattice import GradedMonomial
+from canring.conelattice import GradedMonomial, monomial_basis
 from canring.divisor import (
     QDivisor,
     degree_bounds,
@@ -103,7 +103,7 @@ def section_matrix(D, field, d):
     """The degree-d basis sections of D as (field, rows, ncols), the
     arguments of rank."""
     real = _Realization(D, field)
-    rows = [field_values(field, s) for s in real.basis_sections(d)]
+    rows = [field_values(field, s) for s in real.defect_sections(d, 0)]
     return field, rows, max(real.r(d) + 1, 0)
 
 
@@ -120,8 +120,8 @@ class TestSectionSpace:
 
     def test_empty_piece(self):
         real = _Realization(D235, QQ)
-        assert real.basis_sections(5) == []
-        assert real.basis(5) == []
+        assert real.defect_sections(5, 0) == []
+        assert monomial_basis(real.divisor, 5) == []
 
     def test_inflated_double_point(self):
         D = QDivisor.of(["inf", 0, 1], [2, 0, 0])
@@ -148,7 +148,7 @@ class TestSectionSpace:
             field = FieldSpec(char)
             real = _Realization(D235, field)
             for d in (6, 20, 30, 36):
-                width, floors = real.r(d) + 1, real.floors(d)
+                width, floors = real.r(d) + 1, floor_divisor(real.divisor, d)
                 span_rows = [
                     field_values(
                         field, real.render_exponents([c + b for c, b in zip(m.c, floors)], width)
@@ -193,6 +193,11 @@ def padded_to(poly, width, field):
     return poly[:width] + [field.zero] * (width - len(poly))
 
 
+def as_mask(subset):
+    """The bitmask of a set of point indices, as defect_sections takes it."""
+    return sum(1 << i for i in subset)
+
+
 def span_rank(field, rows, width):
     return rank(field, [[field.of(x) for x in r] for r in rows], width)
 
@@ -235,8 +240,8 @@ class TestRenderReference:
 
         d1, d2 = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
         for d in (d1, d2):
-            floors = real.floors(d)
-            for mono, section in zip(real.basis(d), real.basis_sections(d)):
+            floors = floor_divisor(real.divisor, d)
+            for mono, section in zip(monomial_basis(real.divisor, d), real.defect_sections(d, 0)):
                 g = [c + b for c, b in zip(mono.c, floors)]
                 want = padded_to(reference_product(real, g), real.r(d) + 1, field)
                 assert field_values(field, section) == want
@@ -248,7 +253,11 @@ class TestRenderReference:
             v2 = data.draw(st.lists(coeff, min_size=real.dim(d2), max_size=real.dim(d2)))
             excess = [
                 b - b1 - b2
-                for b, b1, b2 in zip(real.floors(d1 + d2), real.floors(d1), real.floors(d2))
+                for b, b1, b2 in zip(
+                    floor_divisor(real.divisor, d1 + d2),
+                    floor_divisor(real.divisor, d1),
+                    floor_divisor(real.divisor, d2),
+                )
             ]
             conv = [field.zero] * (len(v1) + len(v2) - 1)
             for i, x in enumerate(v1):
@@ -260,10 +269,10 @@ class TestRenderReference:
             assert list(map(type, got)) == list(map(type, want))
 
         subset = frozenset(data.draw(st.sets(st.integers(0, n - 1))))
-        floors = real.floors(d1)
+        floors = floor_divisor(real.divisor, d1)
         e = sum(floors) - len(subset)
         width = real.r(d1) + 1
-        rows = real.defect_sections(d1, subset)
+        rows = real.defect_sections(d1, as_mask(subset))
         assert len(rows) == max(e + 1, 0)
         ref_rows = []
         for k in range(e + 1):
@@ -315,16 +324,18 @@ class TestSectionPairs:
         # sum of their monomials' exponents
         product, degree, c = ([1], 1), 0, [0] * n
         for d in data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=3)):
-            sections = real.basis_sections(d)
-            for mono, section in zip(real.basis(d), sections):
-                check(section, [ci + bi for ci, bi in zip(mono.c, real.floors(d))], real.r(d) + 1)
+            sections = real.defect_sections(d, 0)
+            for mono, section in zip(monomial_basis(real.divisor, d), sections):
+                floors = floor_divisor(real.divisor, d)
+                check(section, [ci + bi for ci, bi in zip(mono.c, floors)], real.r(d) + 1)
             if not sections:
                 continue
             k = data.draw(st.integers(0, len(sections) - 1))
             product = real.multiply(degree, product, d, sections[k])
             degree += d
-            c = [x + y for x, y in zip(c, real.basis(d)[k].c)]
-            check(product, [ci + bi for ci, bi in zip(c, real.floors(degree))], real.r(degree) + 1)
+            c = [x + y for x, y in zip(c, monomial_basis(real.divisor, d)[k].c)]
+            floors = floor_divisor(real.divisor, degree)
+            check(product, [ci + bi for ci, bi in zip(c, floors)], real.r(degree) + 1)
 
 
 class TestMinimalGenerators:
@@ -401,7 +412,7 @@ def minimal_defect_subsets(real, d):
     subsets = set()
     for c in range(1, d):
         if real.dim(c) and real.dim(d - c):
-            fc, fdc, fd = real.floors(c), real.floors(d - c), real.floors(d)
+            fc, fdc, fd = (floor_divisor(real.divisor, x) for x in (c, d - c, d))
             subsets.add(frozenset(i for i in range(len(fd)) if fc[i] + fdc[i] < fd[i]))
     return {A for A in subsets if not any(B < A for B in subsets)}
 
@@ -455,14 +466,15 @@ class TestPregeneratedCertificate:
         minimal = minimal_defect_subsets(real, d)
         empty_defect = any(
             real.dim(c) and real.dim(d - c)
-            and [x + y for x, y in zip(real.floors(c), real.floors(d - c))] == real.floors(d)
+            and [x + y for x, y in zip(floor_divisor(real.divisor, c), floor_divisor(real.divisor, d - c))]
+            == floor_divisor(real.divisor, d)
             for c in range(1, d)
         )
         covered = bool(minimal) and len(frozenset.union(*minimal)) <= real.dim(d)
         if empty_defect or (covered and not frozenset.intersection(*minimal)):
             assert _pregen_subsets(real, d) is None
         else:
-            assert _pregen_subsets(real, d) == minimal
+            assert _pregen_subsets(real, d) == {as_mask(A) for A in minimal}
 
     @settings(max_examples=80, deadline=None)
     @given(_certificate_cases())
@@ -477,7 +489,7 @@ class TestPregeneratedCertificate:
                 continue
             span = RowBasis(field)
             for A in subsets:
-                for row, _ in real.defect_sections(d, A):
+                for row, _ in real.defect_sections(d, as_mask(A)):
                     span.add(row)
             # the generators of degree d complement the products
             assert gens.count(d) == real.dim(d) - span.rank
@@ -959,10 +971,10 @@ class TestOracle:
         field, real = case
         width = real.r(d) + 1
         for c in range(1, d // 2 + 1):
-            for mu, u in zip(real.basis(c), real.basis_sections(c)):
-                for mv, v in zip(real.basis(d - c), real.basis_sections(d - c)):
+            for mu, u in zip(monomial_basis(real.divisor, c), real.defect_sections(c, 0)):
+                for mv, v in zip(monomial_basis(real.divisor, d - c), real.defect_sections(d - c, 0)):
                     summed = tuple(x + y for x, y in zip(mu.c, mv.c))
-                    g = [x + b for x, b in zip(summed, real.floors(d))]
+                    g = [x + b for x, b in zip(summed, floor_divisor(real.divisor, d))]
                     naive = padded_to(reference_product(real, g), width, field)
                     product = real.multiply(c, u, d - c, v)
                     assert product == cleared(naive)
@@ -975,8 +987,8 @@ class TestOracle:
         width = real.r(d) + 1
         every, distinct = [], {}
         for c in range(1, d // 2 + 1):
-            for mu, u in zip(real.basis(c), real.basis_sections(c)):
-                for mv, v in zip(real.basis(d - c), real.basis_sections(d - c)):
+            for mu, u in zip(monomial_basis(real.divisor, c), real.defect_sections(c, 0)):
+                for mv, v in zip(monomial_basis(real.divisor, d - c), real.defect_sections(d - c, 0)):
                     row = field_values(field, real.multiply(c, u, d - c, v))
                     every.append(row)
                     distinct.setdefault(tuple(x + y for x, y in zip(mu.c, mv.c)), row)
@@ -1064,9 +1076,9 @@ class TestOracle:
         assert relation_ideal(D, GF3, gens, 6) == rels
 
     def test_unspanned_degree_is_an_internal_error(self, monkeypatch):
-        basis_sections = _Realization.basis_sections
+        defect_sections = _Realization.defect_sections
         monkeypatch.setattr(
-            _Realization, "basis_sections", lambda self, d: basis_sections(self, d)[:-1]
+            _Realization, "defect_sections", lambda self, d, A: defect_sections(self, d, A)[:-1]
         )
         with pytest.raises(AssertionError, match="oracle failed to span degree 1"):
             brute_force_oracle(QDivisor.of(["inf"], [F("13/5")]), QQ, 5)
