@@ -18,7 +18,7 @@ from .errors import (
     TrivialRingError,
     UnsupportedDivisorError,
 )
-from .exactla import FieldSpec, kernel_basis, row_reduce
+from .exactla import FieldSpec, row_reduce
 from .conelattice import (
     ConeModel,
     GradedMonomial,

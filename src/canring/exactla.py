@@ -7,11 +7,10 @@ integer rows: an integer row enters as it is, with only its content
 divided out.  ``RowBasis`` owns the one incremental elimination loop;
 ``TrackingRowBasis`` logs its steps and replays row expressions only for a
 dependent row's combination.  The one-shot ``rank``, ``row_reduce`` and
-``kernel_basis`` take the field, the rows and the column count, which a
+``_integer_kernel`` take the field, the rows and the column count, which a
 matrix with no rows still needs; ``rank`` clears only below each pivot.
 One sparse integer kernel, read off the reduced echelon form, serves the
-brute-force oracle as it is; ``kernel_basis`` normalizes it and, like
-``row_reduce``, builds ``Fraction``s only at the end.
+brute-force oracle; ``row_reduce`` builds ``Fraction``s only at the end.
 """
 
 from __future__ import annotations
@@ -211,16 +210,6 @@ def _integer_kernel(field: FieldSpec, rows: Sequence[Sequence], ncols: int) -> l
             # a list, not a generator, as in presentation._word
             L = math.lcm(*[P // math.gcd(P, x) for _, x, P in entries])
             basis.append({f: L} | {c: -x * L // P for c, x, P in entries})
-    return basis
-
-
-def kernel_basis(field: FieldSpec, rows: Sequence[Sequence], ncols: int) -> list[list]:
-    """Basis of the right kernel, each vector 1 at its free column; empty
-    when the matrix is injective."""
-    basis = []
-    for vec in _integer_kernel(field, rows, ncols):
-        scale = field.inv(next(iter(vec.values())))
-        basis.append([field.mul(scale, vec.get(c, 0)) for c in range(ncols)])
     return basis
 
 

@@ -353,30 +353,19 @@ def _word(e: tuple[int, ...]) -> tuple[int, ...]:
 
 
 class _MonomialEvaluator:
-    """Renders monomials in the generators as sections, memoized so each
-    monomial costs one section product over its parent."""
+    """Renders x^a in the generators as the section of its lattice point
+    sum_k a_k m_k, from the floors of its own degree: no section product,
+    so the substitution check shares none with the passes."""
 
     def __init__(self, real: _Realization, gens: Sequence[GeneratorRecord]):
         self.real = real
-        self.weights = [g.degree for g in gens]
-        self._gen_sections = [real.render_monomial(g.monomial) for g in gens]
-        self._memo: dict[tuple[int, ...], Section] = {tuple([0] * len(gens)): ([1], 1)}
-
-    def degree(self, exps: tuple[int, ...]) -> int:
-        return sum(e * w for e, w in zip(exps, self.weights))
+        self.monomials = [g.monomial for g in gens]
 
     def section(self, exps: tuple[int, ...]) -> Section:
-        vec = self._memo.get(exps)
-        if vec is not None:
-            return vec
-        k = next(i for i, e in enumerate(exps) if e)
-        parent = exps[:k] + (exps[k] - 1,) + exps[k + 1 :]
-        parent_vec = self.section(parent)
-        vec = self.real.multiply(
-            self.weights[k], self._gen_sections[k], self.degree(parent), parent_vec
-        )
-        self._memo[exps] = vec
-        return vec
+        d, c = 0, [0] * self.real.divisor.n
+        for a, m in zip(exps, self.monomials):
+            d, c = d + a * m.d, [x + a * y for x, y in zip(c, m.c)]
+        return self.real.render_monomial(GradedMonomial(d, tuple(c)))
 
 
 def _divide(field: FieldSpec, row: list[int], block: Optional[tuple]) -> tuple[int, list, list]:
@@ -637,7 +626,8 @@ def relation_evaluates_to_zero(
     gens: Sequence[GeneratorRecord],
     poly: RelationPoly,
 ) -> bool:
-    """Substitute the generator sections into a relation polynomial."""
+    """Substitute the generator sections into a relation polynomial, each
+    term rendered as its summed monomial (_MonomialEvaluator)."""
     real = _Realization(D, field)
     ev = _MonomialEvaluator(real, gens)
     width = real.r(poly.degree) + 1

@@ -13,7 +13,6 @@ from canring.exactla import (
     SparseRowBasis,
     TrackingRowBasis,
     _integer_kernel,
-    kernel_basis,
     rank,
     row_reduce,
 )
@@ -24,7 +23,7 @@ GF7 = FieldSpec(7)
 GF_M61 = FieldSpec((1 << 61) - 1)
 
 
-# a matrix as the arguments of rank, row_reduce and kernel_basis
+# a matrix as the arguments of rank, row_reduce and _integer_kernel
 Mat = namedtuple("Mat", "field rows ncols")
 
 
@@ -183,6 +182,16 @@ def _matrices(draw, fields=(QQ, GF2, GF7, GF_M61)):
     return Mat(field, rows, ncols)
 
 
+def _assert_scaled_reference(field, kernel, reference):
+    """Each integer kernel vector, dense, is its reference vector (1 at its
+    free column f, 0 at the other free columns) times its entry at f."""
+    assert len(kernel) == len(reference)
+    for vec, ref_vec in zip(kernel, reference):
+        scale = vec[next(iter(vec))]
+        dense = [vec.get(c, 0) for c in range(len(ref_vec))]
+        assert [field.mul(scale, x) for x in ref_vec] == dense
+
+
 def _assert_field_entries(field, rows):
     p = field.characteristic
     for row in rows:
@@ -220,9 +229,7 @@ class TestFieldSpec:
         assert pivots == [0, 1]
         assert rref == [[1, 0], [0, 1]]
         assert all(type(x) is Fraction for row in rref for x in row)
-        kernel = kernel_basis(QQ, [[3, 1, 1]], 3)
-        assert kernel == [[Fraction(-1, 3), 1, 0], [Fraction(-1, 3), 0, 1]]
-        assert all(type(x) is Fraction for vec in kernel for x in vec)
+        assert _integer_kernel(QQ, [[3, 1, 1]], 3) == [{1: 3, 0: -1}, {2: 3, 0: -1}]
         srb = SparseRowBasis(QQ)
         assert srb.add({0: 3, 1: 1})
         assert not srb.add({0: 6, 1: 2})
@@ -255,17 +262,19 @@ class TestRowReduce:
         assert rref == ref_rows
         assert len(rref) == len(m.rows) and all(len(row) == m.ncols for row in rref)
         assert rank(*m) == len(ref_pivots)
-        kernel = kernel_basis(*m)
-        assert kernel == _reference_kernel(m.field, m.ncols, ref_rows, ref_pivots)
+        kernel = _integer_kernel(*m)
+        reference = _reference_kernel(m.field, m.ncols, ref_rows, ref_pivots)
+        _assert_scaled_reference(m.field, kernel, reference)
         _assert_field_entries(m.field, rref)
-        _assert_field_entries(m.field, kernel)
+        p = m.field.characteristic
+        assert all(type(x) is int and (not p or 0 < x < p) for vec in kernel for x in vec.values())
 
     def test_unreduced_residues(self):
         # 7 and 14 are zero in GF(7): neither may be taken as a pivot
         m = Mat(GF7, [[7, 14]], 2)
         assert rank(*m) == 0
         assert row_reduce(*m)[1] == []
-        assert kernel_basis(*m) == [[1, 0], [0, 1]]
+        assert _integer_kernel(*m) == [{0: 1}, {1: 1}]
 
     def test_idempotent(self):
         m = qmat([[2, 4, 1], [1, 2, 3], [0, 1, 1]])
@@ -277,7 +286,7 @@ class TestRowReduce:
     def test_row_of_wrong_length(self):
         # a ragged row, and rows that disagree with the column count, in
         # both fields and for every one-shot routine
-        for func in (rank, row_reduce, kernel_basis):
+        for func in (rank, row_reduce, _integer_kernel):
             for field in (QQ, GF7):
                 for rows, ncols in [([[1, 2], [3]], 2), ([[1, 2]], 3), ([[1, 2]], 0)]:
                     with pytest.raises(CanringError, match=f"needs {ncols} entries"):
@@ -286,17 +295,17 @@ class TestRowReduce:
 
 class TestKernel:
     def test_injective(self):
-        assert kernel_basis(*qmat([[1, 0], [0, 1]])) == []
+        assert _integer_kernel(*qmat([[1, 0], [0, 1]])) == []
 
     def test_char2_kernel_vector(self):
         rows = [[1, 0, 0], [0, 0, 1], [1, -2, 1]]
         # columns = the three functions; kernel of the transpose detects the
         # dependency 1 + t^2 + (t-1)^2 = 0 in characteristic 2.
-        basis = kernel_basis(GF2, list(zip(*rows)), 3)
-        assert basis == [[1, 1, 1]]
+        basis = _integer_kernel(GF2, list(zip(*rows)), 3)
+        assert basis == [{0: 1, 1: 1, 2: 1}]
 
     def test_zero_row(self):
-        basis = kernel_basis(QQ, [[Fraction(0), Fraction(0)]], 2)
+        basis = _integer_kernel(QQ, [[Fraction(0), Fraction(0)]], 2)
         assert len(basis) == 2
 
     @settings(max_examples=60, deadline=None)
@@ -309,7 +318,7 @@ class TestKernel:
     )
     def test_rank_nullity(self, rows):
         m = qmat(rows)
-        assert rank(*m) + len(kernel_basis(*m)) == m.ncols
+        assert rank(*m) + len(_integer_kernel(*m)) == m.ncols
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -321,9 +330,9 @@ class TestKernel:
     )
     def test_kernel_vectors_annihilate(self, rows):
         m = qmat(rows)
-        for vec in kernel_basis(*m):
+        for vec in _integer_kernel(*m):
             for row in m.rows:
-                assert sum(a * b for a, b in zip(row, vec)) == 0
+                assert sum(row[c] * x for c, x in vec.items()) == 0
 
 
 @st.composite
@@ -358,10 +367,12 @@ class TestIntegerKernel:
         ref_rows, ref_pivots = _reference_row_reduce(m)
         reference = _reference_kernel(field, m.ncols, ref_rows, ref_pivots)
         kernel = _integer_kernel(*m)
-        dense = kernel_basis(*m)
-        assert len(kernel) == len(dense) == len(reference) == m.ncols - len(ref_pivots)
+        assert len(kernel) == m.ncols - len(ref_pivots)
+        # the reference has 1 at f and 0 at the other free columns, so
+        # proportional vectors span the same kernel
+        _assert_scaled_reference(field, kernel, reference)
         free = [c for c in range(m.ncols) if c not in ref_pivots]
-        for vec, f, basis_vec, ref_vec in zip(kernel, free, dense, reference):
+        for vec, f in zip(kernel, free):
             assert next(iter(vec)) == f  # the free column comes first
             assert all(type(x) is int and x for x in vec.values())
             if p:
@@ -369,13 +380,6 @@ class TestIntegerKernel:
             else:
                 assert vec[f] > 0
                 assert math.gcd(*vec.values()) == 1
-            # kernel_basis's vector, scaled by the entry at f
-            assert [field.mul(vec[f], x) for x in basis_vec] == [
-                vec.get(c, 0) for c in range(m.ncols)
-            ]
-            # the reference has 1 at f and 0 at the other free columns, so
-            # equal vectors span the same kernel
-            assert basis_vec == ref_vec
             for row in m.rows:
                 assert field.mul(1, sum(x * row[c] for c, x in vec.items())) == 0
 

@@ -619,6 +619,22 @@ def assert_x0_free_work(field, consumer, monkeypatch):
     assert len(products) == 43 + sum(1 for d in range(1, 121) if below[d])
 
 
+def rotated_multiply(self, d1, s1, d2, s2):
+    """_Realization.multiply with a faulty defect mask: bit i moved to point
+    i + 1 mod n."""
+    d, n = d1 + d2, self.divisor.n
+    rs, keys = self.packed(d)
+    mask = keys[d] - keys[d1] - keys[d2]
+    mask = (mask << 1 | mask >> (n - 1)) & ((1 << n) - 1)
+    (v1, den1), (v2, den2) = s1, s2
+    poly, den = presentation._poly_mul(self.field, v1, v2), den1 * den2
+    for i, q in enumerate(self._denominators):
+        if mask >> i & 1 and q:
+            poly = presentation._poly_mul(self.field, poly, self._powers[i][1])
+            den *= q
+    return self._to_field(poly, den, rs[d] + 1)
+
+
 class TestRelations:
     def test_235_single_relation(self):
         gens = minimal_generators(D235, QQ)
@@ -635,6 +651,31 @@ class TestRelations:
         rels = relation_ideal(D235, field, gens)
         assert [r.degree for r in rels] == [30]
         assert set(rels[0].support) == {(5, 0, 0), (0, 3, 0), (0, 0, 2)}
+
+    @pytest.mark.parametrize("field", [QQ, GF7, GFBIG], ids=str)
+    def test_substitution_forms_no_product(self, field, monkeypatch):
+        # the referee renders each term from its own floors, not through
+        # the section product of the passes
+        gens = minimal_generators(D235, field)
+        (rel,) = relation_ideal(D235, field, gens)
+        assert rel.degree == 30
+
+        def product(*args):
+            raise AssertionError("the substitution check formed a product")
+
+        monkeypatch.setattr(_Realization, "multiply", product)
+        assert relation_evaluates_to_zero(D235, field, gens, rel)
+
+    @pytest.mark.parametrize("field", [QQ, GF7, GFBIG], ids=str)
+    def test_substitution_rejects_a_faulty_product(self, field, monkeypatch):
+        # a fault in the product corrupts the emitted relation, and the
+        # referee, sharing no product with the pass, refuses it
+        gens = minimal_generators(D235, field)
+        (true,) = relation_ideal(D235, field, gens, 35)
+        monkeypatch.setattr(_Realization, "multiply", rotated_multiply)
+        (wrong,) = relation_ideal(D235, field, gens, 35)
+        assert wrong != true
+        assert not relation_evaluates_to_zero(D235, field, gens, wrong)
 
     def test_two_point_relation_degrees_match_closed_form(self):
         rng = random.Random(5)
