@@ -292,11 +292,12 @@ def build_parser() -> argparse.ArgumentParser:
     fmt.add_argument("--json", action="store_true", help="machine-readable report")
     fmt.add_argument("--pretty", action="store_true", help="human-readable report (default)")
     window = argparse.ArgumentParser(add_help=False)
-    window.add_argument("--max-degree", type=_nonnegative, default=None,
-                        help="top degree for dims, generator window, or oracle window")
+    window.add_argument("--max-degree", metavar="N", type=_nonnegative, default=None,
+                        help="gens, rels, groebner, scan: generators of degree < N; "
+                        "dims, oracle: degrees through N")
     truncation = argparse.ArgumentParser(add_help=False)
-    truncation.add_argument("--truncation", type=_nonnegative, default=None,
-                            help="degree window for relations and Groebner leading terms")
+    truncation.add_argument("--truncation", metavar="T", type=_nonnegative, default=None,
+                            help="relations and Groebner leading terms through degree T")
 
     parser = argparse.ArgumentParser(
         prog="canring",

@@ -18,10 +18,6 @@ class PointP1:
     value: Optional[Fraction]
 
     @staticmethod
-    def infinity() -> "PointP1":
-        return PointP1(None)
-
-    @staticmethod
     def of(value: Union[Rational, None, str, "PointP1"]) -> "PointP1":
         if isinstance(value, PointP1):
             return value

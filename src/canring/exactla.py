@@ -5,8 +5,8 @@ Matrix entries are exact rationals in characteristic 0, ``int``s or
 p.  Characteristic-0 elimination is fraction-free, over content-stripped
 integer rows: an integer row enters as it is, with only its content
 divided out.  ``RowBasis`` owns the one incremental elimination loop;
-``TrackingRowBasis`` logs its steps and replays row expressions only for a
-dependent row's combination.  The one-shot ``rank``, ``row_reduce`` and
+``TrackingRowBasis`` carries each row's expression through the same
+steps and stores it with the row.  The one-shot ``rank``, ``row_reduce`` and
 ``_integer_kernel`` take the field, the rows and the column count, which a
 matrix with no rows still needs; ``rank`` clears only below each pivot.
 One sparse integer kernel, read off the reduced echelon form, serves the
@@ -213,20 +213,40 @@ def _integer_kernel(field: FieldSpec, rows: Sequence[Sequence], ncols: int) -> l
     return basis
 
 
+def _combine(expr: tuple, piv: int, f: int, factor: int, stored: tuple) -> tuple:
+    """(piv * expr - f * stored) / factor for QQ expressions (num, den)."""
+    num, den = expr
+    snum, sden = stored
+    g = math.gcd(den, sden)
+    mine, theirs = piv * (sden // g), f * (den // g)
+    den *= (sden // g) * factor
+    num = {t: c for t in num | snum if (c := mine * num.get(t, 0) - theirs * snum.get(t, 0))}
+    g = math.gcd(den, *num.values())
+    if g > 1:
+        den //= g
+        num = {t: c // g for t, c in num.items()}
+    return num, den
+
+
 class RowBasis:
     """Incremental row-span tracker (forward elimination only).
 
-    Characteristic 0 keeps content-stripped integer rows, row <- piv * row
-    - f * stored; prime characteristic keeps pivot-normalized residue rows,
-    row <- row - f * stored.  Stored rows never change.  ``add`` reports
-    whether the vector enlarged the span.
+    Characteristic 0 keeps content-stripped integer rows, row <- (piv * row
+    - f * stored) / content; prime characteristic keeps pivot-normalized
+    residue rows, row <- row - f * stored.  Stored rows never change.
+    ``add`` reports whether the vector enlarged the span.  A tracking basis
+    applies each step to the row's expression over the added tags as well
+    and stores it with the row (else None): over QQ (num, den), a dict tag
+    -> int over one positive int, cancelled by their gcd after each step;
+    mod p a dict tag -> residue, normalized with its row.
     """
 
     __slots__ = ("field", "_rows")
+    _tracking = False
 
     def __init__(self, field: FieldSpec):
         self.field = field
-        self._rows: list[tuple[int, list]] = []  # (pivot col, row), sorted
+        self._rows: list[tuple[int, list, object]] = []  # (pivot col, row, expr), sorted
 
     @property
     def rank(self) -> int:
@@ -235,107 +255,63 @@ class RowBasis:
     def add(self, vec: Sequence) -> bool:
         return self._eliminate(vec, None)[0] is not None
 
-    def _eliminate(self, vec: Sequence, steps: Optional[list]) -> tuple[Optional[int], int, int]:
-        """Reduce vec by the stored rows and store the rest if nonzero.
-
-        Returns (lead, scale, den), lead None for a dependent vec.  QQ starts
-        from the integer row vec * scale/den; mod p, den is 1 and scale the
-        inverse pivot the stored row was normalized by (else 1).  Each step
-        is logged to ``steps``, if given, as (col, piv, f, factor): row <-
-        (piv * row - f * stored) / factor.
-        """
+    def _eliminate(self, vec: Sequence, tag) -> tuple[Optional[int], object]:
+        """Reduce vec, and its expression when tracking, by the stored rows
+        and store the rest if nonzero.  Returns (lead, expr), lead None for
+        a dependent vec."""
         p = self.field.characteristic
+        track = self._tracking
         if p:
-            scale = den = 1
             row = [index(x) % p for x in vec]
-            for col, stored in self._rows:
+            expr = {tag: 1} if track else None
+            for col, stored, sexpr in self._rows:
                 f = row[col]
                 if f:
                     row = [(a - f * b) % p for a, b in zip(row, stored)]
-                    if steps is not None:
-                        steps.append((col, 1, f, 1))
+                    if track:
+                        for t, c in sexpr.items():
+                            expr[t] = (expr.get(t, 0) - f * c) % p
         else:
             row, scale, den = _to_integer_row(vec)
-            for col, stored in self._rows:
+            expr = ({tag: scale}, den) if track else None  # the row == vec * scale/den
+            for col, stored, sexpr in self._rows:
                 f = row[col]
                 if f:
                     piv = stored[col]
                     row, factor = _strip_content([piv * a - f * b for a, b in zip(row, stored)])
-                    if steps is not None:
-                        steps.append((col, piv, f, factor))
+                    if track:
+                        expr = _combine(expr, piv, f, factor, sexpr)
         lead = next((i for i, x in enumerate(row) if x), None)
         if lead is not None:
             if p:
-                scale = pow(row[lead], -1, p)
-                row = [scale * x % p for x in row]
-            bisect.insort(self._rows, (lead, row), key=itemgetter(0))
-        return lead, scale, den
+                inv = pow(row[lead], -1, p)
+                row = [inv * x % p for x in row]
+                if track:
+                    expr = {t: inv * c % p for t, c in expr.items() if c}
+            bisect.insort(self._rows, (lead, row, expr), key=itemgetter(0))
+        return lead, expr
 
 
 class TrackingRowBasis(RowBasis):
-    """Row basis that remembers how each pivot is built from the added rows.
+    """Row basis that keeps how each stored row is built from the added rows.
 
     When an added row turns out dependent, ``add`` returns the sparse
     combination {tag: coeff} over previously added rows (including the new
-    tag itself) that sums to zero; independent rows return None.
-
-    Each stored row keeps its origin: its tag, scale, den and logged steps.
-    A dependent add replays the pending origins in storage order, which
-    works because a row's steps name only rows stored before it, and then
-    its own steps.  Stored rows never change, so a late replay gives the
-    expressions that updating them at every step would.  A QQ expression
-    is (num, den), a dict tag -> int over one positive int, cancelled by
-    their gcd after each step; a GF(p) one is a dict tag -> residue,
-    normalized with its row.
+    tag itself) that sums to zero; independent rows return None.  Any
+    hashable is a tag, None included.
     """
 
-    __slots__ = ("_pending", "_exprs")
-
-    def __init__(self, field: FieldSpec):
-        super().__init__(field)
-        self._pending: list[tuple] = []  # (pivot col, tag, scale, den, steps), in storage order
-        self._exprs: dict[int, object] = {}  # pivot col -> expression, once replayed
+    __slots__ = ()
+    _tracking = True
 
     def add(self, vec: Sequence, tag) -> Optional[dict]:
-        steps: list[tuple[int, int, int, int]] = []
-        lead, scale, den = self._eliminate(vec, steps)
+        lead, expr = self._eliminate(vec, tag)
         if lead is not None:
-            self._pending.append((lead, tag, scale, den, steps))
             return None
-        for col, *origin in self._pending:
-            self._exprs[col] = self._replay(*origin)
-        self._pending.clear()
-        expr = self._replay(tag, scale, den, steps)
         if self.field.characteristic:
-            return expr
+            return {t: c for t, c in expr.items() if c}
         num, den = expr
         return {t: Fraction(c, den) for t, c in num.items()}
-
-    def _replay(self, tag, scale: int, den: int, steps: list):
-        """The expression of one origin, from those of the rows it names."""
-        p = self.field.characteristic
-        if p:
-            expr = {tag: 1}
-            for col, _, f, _ in steps:
-                for t, c in self._exprs[col].items():
-                    expr[t] = (expr.get(t, 0) - f * c) % p
-            return {t: scale * c % p for t, c in expr.items() if c}
-        num = {tag: scale}  # the row == vec * scale/den
-        for col, piv, f, factor in steps:
-            snum, sden = self._exprs[col]
-            g = math.gcd(den, sden)
-            mine, theirs = piv * (sden // g), f * (den // g)
-            den *= (sden // g) * factor
-            num = {
-                t: c
-                for t in num | snum
-                if (c := mine * num.get(t, 0) - theirs * snum.get(t, 0))
-            }
-            g = math.gcd(den, *num.values())
-            if g > 1:
-                den //= g
-                num = {t: c // g for t, c in num.items()}
-        return num, den
 
 
 class SparseRowBasis:

@@ -442,6 +442,43 @@ class TestPointAtInfinityModP:
         )
 
 
+class TestWindows:
+    def test_generator_window_excludes_its_top_and_the_others_include_it(self, capsys):
+        # the 2,3,5 example: generators in degrees 6, 10 and 15, one relation in degree 30
+        divisor = ("--alphas=-1/2,1/3,1/5", "--points", "inf,0,1", "--json")
+
+        def report(*argv):
+            code, out, err = run(capsys, *argv, *divisor)
+            assert (code, err) == (0, "")
+            return json.loads(out)
+
+        # gens and scan keep generators of degree < N
+        for n, degrees in [("15", [6, 10]), ("16", [6, 10, 15])]:
+            gens = report("gens", "--max-degree", n)["generators"]
+            assert [g["degree"] for g in gens] == degrees
+            (run_,) = report("scan", "--chars", "", "--max-degree", n)["runs"]
+            assert [g["degree"] for g in run_["generators"]] == degrees
+        # so do rels and groebner: without the degree-15 generator, S_15 is unspanned
+        for command in ("rels", "groebner"):
+            argv = (command, "--max-degree", "15", "--truncation", "30", *divisor)
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (1, "")
+            assert err == "error: no generator monomials reach degree 15 but dim S_15 = 1\n"
+            assert report(command, "--max-degree", "16", "--truncation", "30")
+        # --truncation T includes T
+        relations = report("rels", "--truncation", "30")["relations"]
+        assert relations == [{"degree": 30, "support_size": 3}]
+        assert report("rels", "--truncation", "29")["relations"] == []
+        assert report("groebner", "--truncation", "30")["groebner"]["leading_terms"] == [[0, 0, 2]]
+        assert report("groebner", "--truncation", "29")["groebner"]["leading_terms"] == []
+        # dims and oracle include N
+        assert [row["d"] for row in report("dims", "--max-degree", "3")["dims"]] == [0, 1, 2, 3]
+        for n, relations in [("30", [30]), ("29", [])]:
+            oracle = report("oracle", "--max-degree", n)
+            assert oracle["engine"] == oracle["oracle"]
+            assert oracle["engine"] == {"generators": [6, 10, 15], "relations": relations}
+
+
 def _child_env():
     """The environment of a `python -m canring` child that imports this checkout."""
     src = str(Path(canring.__file__).resolve().parents[1])

@@ -527,6 +527,71 @@ class TestTrackingRowBasis:
         assert all(type(c) is Fraction for c in combo.values())
 
 
+@st.composite
+def _probe_cases(draw):
+    """A field, a width and a sequence of (probe, vec): adds of random
+    vectors, interleaved with probes, which are combinations of the vectors
+    added before them (the zero vector before any)."""
+    field = draw(st.sampled_from([QQ, GF7, GF_M61]))
+    p = field.characteristic
+    if p:
+        entries = st.one_of(st.integers(0, min(p - 1, 6)), st.integers(0, p - 1))
+    else:
+        entries = _qq_entries
+    width = draw(st.integers(min_value=1, max_value=5))
+    steps, added = [], []
+    for _ in range(draw(st.integers(min_value=1, max_value=10))):
+        if draw(st.booleans()):
+            coeffs = [draw(entries) for _ in added]
+            vec = [
+                sum((c * v[j] for c, v in zip(coeffs, added)), field.zero) for j in range(width)
+            ]
+            steps.append((True, [x % p for x in vec] if p else vec))
+        else:
+            vec = draw(st.lists(entries, min_size=width, max_size=width))
+            added.append(vec)
+            steps.append((False, vec))
+    return field, width, steps
+
+
+class TestProbes:
+    """The relation pass probes a tracker with a rest that must be
+    dependent, tagged None.  A probe returns its combination and leaves
+    the tracker as it was."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_probe_cases())
+    def test_probes_leave_the_tracker_unchanged(self, case):
+        field, width, steps = case
+        p = field.characteristic
+        trb, unprobed = TrackingRowBasis(field), TrackingRowBasis(field)
+        reference = _FractionTracker()
+        vecs, kept = {}, []
+        for i, (probe, vec) in enumerate(steps):
+            tag = None if probe else i
+            vecs[tag] = vec
+            before = trb.rank
+            combo = trb.add(vec, tag)
+            if probe:
+                assert combo is not None and combo[None]
+                assert trb.rank == before
+            else:
+                # the same combination as without the probes before it
+                assert combo == unprobed.add(vec, tag)
+                if combo is None:
+                    kept.append(tag)
+            if not p:
+                assert combo == reference.add(vec, tag)
+            elif combo is not None:
+                assert combo[tag] == 1
+                assert set(combo) - {tag} <= set(kept)
+                assert all(0 < c < p for c in combo.values())
+                for col in range(width):
+                    assert sum(c * vecs[t][col] for t, c in combo.items()) % p == 0
+        added = [vec for probe, vec in steps if not probe]
+        assert trb.rank == unprobed.rank == len(kept) == rank(field, added, width)
+
+
 class TestIntegerRows:
     """Characteristic-0 elimination takes an integer row as it is.  The same
     row scaled by a positive Fraction gives the same rank and add verdicts,
