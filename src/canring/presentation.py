@@ -129,7 +129,11 @@ class _Realization:
     floor(y) is 0 or 1, bit i of K(d) - K(c) - K(d - c) is set exactly when
     floor(c alpha_i) + floor((d - c) alpha_i) < floor(d alpha_i): that mask
     is the defect subset of the split (c, d - c), the points i where
-    S_c S_{d-c} = u^d H^0(floor(cD) + floor((d-c)D)) vanishes in degree d."""
+    S_c S_{d-c} = u^d H^0(floor(cD) + floor((d-c)D)) vanishes in degree d.
+    The table has period ell = lcm of the denominators: ell D is integral,
+    so floor((c + ell)D) = floor(cD) + ell D, r(c + ell) = r(c) + r(ell)
+    and K(c + ell) = K(c) + K(ell), and packed grows it by this identity
+    past ell, which makes every defect subset periodic in c as well."""
 
     def __init__(self, D: QDivisor, field: FieldSpec):
         self.divisor = padded(D, field.characteristic)
@@ -153,19 +157,27 @@ class _Realization:
             seen.add(key)
             self._denominators.append(q)
             self._powers.append([[1], [field.neg(a), q]] if q else [[1]])
+        self._ell = math.lcm(*[a.denominator for a in self.divisor.alphas])  # the period of packed
 
     def packed(self, d: int) -> tuple[list[int], list[int]]:
-        for c in range(len(self._keys), d + 1):
-            b = floor_divisor(self.divisor, c)
-            self._r.append(sum(b))
-            self._keys.append(sum(x << i for i, x in enumerate(b)))
-        return self._r, self._keys
+        rs, keys = self._r, self._keys
+        if d >= len(keys):
+            ell = self._ell
+            for c in range(len(keys), d + 1):
+                if c > ell:
+                    rs.append(rs[c - ell] + rs[ell])
+                    keys.append(keys[c - ell] + keys[ell])
+                else:
+                    b = floor_divisor(self.divisor, c)
+                    rs.append(sum(b))
+                    keys.append(sum(x << i for i, x in enumerate(b)))
+        return rs, keys
 
     def r(self, d: int) -> int:
-        return self.packed(d)[0][d]
+        return (self._r if d < len(self._r) else self.packed(d)[0])[d]
 
     def dim(self, d: int) -> int:
-        return max(self.r(d) + 1, 0)
+        return max((self._r if d < len(self._r) else self.packed(d)[0])[d] + 1, 0)
 
     def _power(self, i: int, k: int) -> list[int]:
         """(q_i t - a_i)^k at a finite point."""
@@ -461,15 +473,18 @@ def _standard_pass(
     x_0-free one.  So the standard monomials of degree d are x_0 std(d -
     w_0) and F(d), the x_0-free ones, and no minimal leading term contains
     x_0.  The multiples of x_0 are derived, not rendered: they fill the
-    block x_0 S_{d - w_0}, whose echelon rows are (x_0 times 1) t^j.  The
-    candidates of degree d are the x_k s, k >= 1, s in F(d - w_k) and k at
-    most its first variable, in word order; those that a lower leading
-    term divides are skipped unrendered.  Each other one is one product,
-    divided by the block (_divide), and its rest goes to the degree's
-    TrackingRowBasis.  A dependent rest gives the unique relation of e
-    over the standard monomials below it, with coefficient 1 at e
-    (_relation).  Yields d, dim I_d = #monomials(d) - dim S_d and the new
-    (leading term, relation) pairs of each degree that has any.
+    block x_0 S_{d - w_0}, whose echelon rows are (x_0 times 1) t^j.  As
+    x_0 times 1 is g_0 prod_{i in A} (q_i t - a_i), A the defect subset of
+    the split (w_0, d - w_0), which is periodic in d (_Realization), it is
+    rendered once per subset.  The candidates of degree d are the x_k s,
+    k >= 1, s in F(d - w_k) and k at most its first variable, in word
+    order; those that a lower leading term divides are skipped
+    unrendered.  Each other one is one product, divided by the block
+    (_divide), and its rest goes to the degree's TrackingRowBasis.  A
+    dependent rest gives the unique relation of e over the standard
+    monomials below it, with coefficient 1 at e (_relation).  Yields d,
+    dim I_d = #monomials(d) - dim S_d and the new (leading term, relation)
+    pairs of each degree that has any.
     """
     real = _Realization(D, field)
     weights = [g.degree for g in gens]
@@ -486,6 +501,7 @@ def _standard_pass(
     unit.add([1], empty)
     free: dict[int, dict] = {0: {empty: (([1], 1), 1, [])}}
     blocks: dict[int, tuple] = {0: (None, unit)}
+    x0: dict[int, tuple] = {}  # (support, den) of x_0 times 1 by defect subset
     for d in range(1, up_to + 1):
         dim = real.dim(d)
         if not count[d]:
@@ -499,8 +515,12 @@ def _standard_pass(
         w0 = weights[0]
         nq, block = real.dim(d - w0) if d >= w0 else 0, None
         if nq:
-            g, den = real.multiply(w0, gen_sections[0], d - w0, ([1], 1))
-            support = [(i, c) for i, c in enumerate(g) if c]
+            keys = real.packed(d)[1]
+            mask = keys[d] - keys[w0] - keys[d - w0]
+            if mask not in x0:
+                g, den = real.multiply(w0, gen_sections[0], d - w0, ([1], 1))
+                x0[mask] = [(i, c) for i, c in enumerate(g) if c], den
+            support, den = x0[mask]
             block = (support[0][0], nq, support, den)
         tracker, level, new = TrackingRowBasis(field), {}, []
         free[d], blocks[d] = level, (block, tracker)

@@ -1,7 +1,10 @@
+import hashlib
+import itertools
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -9,6 +12,7 @@ import pytest
 import canring
 from canring import cli
 from canring.cli import canonical_json, main
+from canring.divisor import divisor_to_json
 
 
 def run(capsys, *argv):
@@ -477,6 +481,80 @@ class TestWindows:
             oracle = report("oracle", "--max-degree", n)
             assert oracle["engine"] == oracle["oracle"]
             assert oracle["engine"] == {"generators": [6, 10, 15], "relations": relations}
+
+
+# every alpha tuple criterion 09 can draw: one to three coefficients a/b,
+# |a| <= 2 and 1 <= b <= 4, of total degree at most 1, at the points 0, 1, 2
+_CRITERION_09_VALUES = sorted({Fraction(a, b) for a in range(-2, 3) for b in range(1, 5)})
+_CRITERION_09_DIVISORS = [
+    canring.QDivisor.of(range(n), alphas)
+    for n in (1, 2, 3)
+    for alphas in itertools.product(_CRITERION_09_VALUES, repeat=n)
+    if sum(alphas) <= 1
+]
+_CHORDS_ARGS = ("--alphas=-1/2,-1/2,1/3,1/3,1/5,1/5", "--points", "0,1,2,3,4,9/5", "--truncation", "120")
+
+
+def _criterion_09_window(D):
+    if D.degree < 0:
+        return 8
+    if D.degree == 0:
+        return canring.denominator_data(D).ell + 2
+    return min(canring.degree_bounds(D)[1], 15)
+
+
+def _engine_reports(D, field, window):
+    """The reports of `rels` and `groebner` with --max-degree window + 1
+    --truncation window --json, from the library."""
+    gens = canring.minimal_generators(D, field, window + 1)
+    rels = canring.relation_ideal(D, field, gens, window)
+    gb = canring.groebner_leading_terms(D, field, gens, window)
+    config = divisor_to_json(D, field.characteristic)
+    return [
+        {
+            "command": "rels",
+            "config": config,
+            "generators": [g.to_json() for g in gens],
+            "relations": [r.summary() for r in rels],
+        },
+        {
+            "command": "groebner",
+            "config": config,
+            "groebner": {
+                "truncation": gb.truncation_degree,
+                "order": gb.order,
+                "leading_terms": [list(e) for e in gb.leading_terms],
+            },
+        },
+    ]
+
+
+class TestByteIdentity:
+    def test_rels_and_groebner_reports_are_pinned(self, capsys):
+        # the sha256 of the canonical JSON of every criterion-09 divisor's
+        # reports in QQ and GF(2^61 - 1), and of the CLI's chords reports to
+        # degree 120 in both fields: any change of output shows here
+        reports = []
+        for char in (0, 2**61 - 1):
+            field = canring.FieldSpec(char)
+            reports += [
+                _engine_reports(D, field, _criterion_09_window(D)) for D in _CRITERION_09_DIVISORS
+            ]
+        assert len(reports) == 2 * 1795
+        # the library layout above is the CLI's
+        argv = ("--alphas=1/2,-1/4,2/3", "--points", "0,1,2", "--max-degree", "16", "--truncation", "15")
+        cli_reports = [json.loads(run(capsys, command, *argv, "--json")[1]) for command in ("rels", "groebner")]
+        D = canring.QDivisor.of(range(3), [Fraction(1, 2), Fraction(-1, 4), Fraction(2, 3)])
+        assert cli_reports == _engine_reports(D, canring.FieldSpec(0), 15)
+        text = canonical_json(reports)
+        for char in ("0", str(2**61 - 1)):
+            for command in ("rels", "groebner"):
+                code, out, err = run(capsys, command, *_CHORDS_ARGS, "--char", char, "--json")
+                assert (code, err) == (0, "")
+                text += out
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+            "b465d50672384801e9e845d96dc4ce9422d00d248c0eca3ea39096a29f609d5f"
+        )
 
 
 def _child_env():

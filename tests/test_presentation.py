@@ -444,6 +444,45 @@ def _packed_cases(draw):
     return QDivisor.of(points, alphas), draw(st.integers(1, 60))
 
 
+@st.composite
+def _periodic_cases(draw):
+    """A field, a divisor on one to six points (a one-point divisor is
+    padded; 1/7 reduces to inf in GF(7)), signed coefficients with
+    denominators up to 7, a degree up to 3 ell + 5 (at most 120) and a
+    degree to grow the table to first."""
+    field = draw(st.sampled_from([QQ, GF7]))
+    pool = ["1/7", 0, 1, 2, 3, "inf" if field is QQ else -1]
+    points = draw(st.permutations(pool))[: draw(st.integers(1, 6))]
+    alphas = [Fraction(draw(st.integers(-7, 7)), draw(st.integers(1, 7))) for _ in points]
+    ell = math.lcm(*[a.denominator for a in alphas])
+    d = draw(st.integers(-2, min(3 * ell + 5, 120)))
+    return field, QDivisor.of(points, alphas), draw(st.integers(0, max(d, 0))), d
+
+
+class TestPeriodicTable:
+    """_Realization.packed grows r(c) and K(c) past ell by r(c + ell) =
+    r(c) + r(ell), K likewise; every entry equals the direct floors."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_periodic_cases())
+    @example((QQ, QDivisor.of([0, 1], [2, -3]), 4, 9))  # integral: ell = 1
+    @example((GF7, QDivisor.of(["1/7"], [F("5/2")]), 3, 11))  # ghost at 0 in GF(7)
+    @example((QQ, QDivisor.of(["1/7"], [F("-5/3")]), 0, 11))  # ghost at inf
+    @example((QQ, CHORDS, 30, 95))  # ell = 30
+    @example((GF7, NEGATIVE, 0, 0))
+    @example((QQ, D235, 0, -1))
+    def test_packed_matches_direct_floors(self, case):
+        field, D, mid, d = case
+        real = _Realization(D, field)
+        real.dim(mid)  # the table grows in two steps
+        rs, keys = real.packed(d)
+        assert len(rs) == len(keys) == max(d, mid) + 1
+        for c in range(d + 1):
+            b = floor_divisor(D, c)
+            assert (rs[c], keys[c]) == (sum(b), sum(x << i for i, x in enumerate(b)))
+            assert (real.r(c), real.dim(c)) == (sum(b), graded_dim(D, c))
+
+
 class TestPregeneratedCertificate:
     """Where the minimal defect subsets cover at most dim S_d points, the
     products of degree d span a space of dimension dim S_d - |cap A|."""
@@ -590,9 +629,12 @@ _CRITERION_09_ALPHAS = st.lists(
 
 def assert_x0_free_work(field, consumer, monkeypatch):
     """The multiples of x_0 (degree 6) on the chords divisor are derived:
-    each degree renders x_0 times 1 and its dim S_d - dim S_{d-6} x_0-free
-    standard monomials and new leading terms, 43 of them to degree 120
-    where tracking every standard monomial takes 385."""
+    each degree renders its dim S_d - dim S_{d-6} x_0-free standard
+    monomials and new leading terms, 43 of them to degree 120 where
+    tracking every standard monomial takes 385, and x_0 times 1 is
+    rendered once per defect subset {i : floor(6 a_i) + floor((d-6) a_i) <
+    floor(d a_i)} of the degrees with dim S_{d-6} > 0: 2 products where
+    one per degree would be 100."""
     gens = minimal_generators(CHORDS, field)
     assert gens[0].degree == 6
     real = _Realization(CHORDS, field)
@@ -616,7 +658,14 @@ def assert_x0_free_work(field, consumer, monkeypatch):
     consumer(CHORDS, field, gens, up_to=120)
     candidates = [tag for tag in tags if tag is not None and any(tag)]
     assert len(candidates) == 43 and not any(e[0] for e in candidates)
-    assert len(products) == 43 + sum(1 for d in range(1, 121) if below[d])
+    floors = [floor_divisor(CHORDS, d) for d in range(121)]
+    subsets = {
+        tuple(i for i, (a, b, c) in enumerate(zip(floors[6], floors[d - 6], floors[d])) if a + b < c)
+        for d in range(6, 121)
+        if below[d]
+    }
+    assert len(subsets) == 2
+    assert len(products) == 43 + len(subsets)
 
 
 def rotated_multiply(self, d1, s1, d2, s2):
