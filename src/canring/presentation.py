@@ -121,11 +121,23 @@ def _poly_mul(field: FieldSpec, a: Sequence[int], b: Sequence[int]) -> list[int]
 Section = tuple[list[int], int]  # (row, den), see the module docstring
 
 
+class _FloorTable:
+    """The per-degree state of a realization (_Realization)."""
+
+    def __init__(self, alphas: tuple[Fraction, ...]):
+        self.alphas, self.ell = alphas, math.lcm(*[a.denominator for a in alphas])
+        self.r: list[int] = []  # r(c) by c, grown by _Realization.packed
+        self.keys: list[int] = []  # K(c) by c, likewise
+        self.certificates: dict[int, Optional[set[int]]] = {}  # of _pregen_subsets, by d
+
+
 class _Realization:
     """A divisor with its points embedded in a concrete field; every row of
     a graded piece is rendered by render_exponents.  Its only per-degree
-    state is packed(d), the lists r(c) = deg floor(cD) and K(c) = sum_i
-    floor(c alpha_i) 2^i for 0 <= c <= d.  As floor(x + y) - floor(x) -
+    state is its floor table, which reads only the padded coefficients and
+    may so be shared: the lists r(c) = deg floor(cD) and K(c) = sum_i
+    floor(c alpha_i) 2^i for 0 <= c <= d grown by packed(d), and the
+    certificates of _pregen_subsets.  As floor(x + y) - floor(x) -
     floor(y) is 0 or 1, bit i of K(d) - K(c) - K(d - c) is set exactly when
     floor(c alpha_i) + floor((d - c) alpha_i) < floor(d alpha_i): that mask
     is the defect subset of the split (c, d - c), the points i where
@@ -135,11 +147,11 @@ class _Realization:
     and K(c + ell) = K(c) + K(ell), and packed grows it by this identity
     past ell, which makes every defect subset periodic in c as well."""
 
-    def __init__(self, D: QDivisor, field: FieldSpec):
+    def __init__(self, D: QDivisor, field: FieldSpec, table: Optional[_FloorTable] = None):
         self.divisor = padded(D, field.characteristic)
         self.field = field
-        self._r: list[int] = []  # r(c) by c, grown by packed
-        self._keys: list[int] = []  # K(c) by c, grown by packed
+        if table is not None and table.alphas != self.divisor.alphas:
+            raise AssertionError(f"a floor table of {table.alphas} does not fit {self.divisor}")
         self._denominators: list[int] = []  # q_i, or 0 at an infinite point
         self._powers: list[list[list[int]]] = []  # (q_i t - a_i)^k by k, grown on demand
         p = field.characteristic
@@ -157,7 +169,8 @@ class _Realization:
             seen.add(key)
             self._denominators.append(q)
             self._powers.append([[1], [field.neg(a), q]] if q else [[1]])
-        self._ell = math.lcm(*[a.denominator for a in self.divisor.alphas])  # the period of packed
+        self.table = table = table or _FloorTable(self.divisor.alphas)
+        self._r, self._keys, self._ell = table.r, table.keys, table.ell  # shared, grown by packed
 
     def packed(self, d: int) -> tuple[list[int], list[int]]:
         rs, keys = self._r, self._keys
@@ -262,23 +275,28 @@ def _pregen_subsets(real: _Realization, d: int) -> Optional[set[int]]:
     Returns None when the degree is certified fully pregenerated: the
     minimal subsets have empty intersection (some split with no defect
     included) and cover at most dim S_d points.  Else returns the
-    inclusion-minimal subsets, whose defect sections span sum_A V_A.
+    inclusion-minimal subsets, whose defect sections span sum_A V_A; the
+    floor table keeps the value by degree.
     """
+    certificates = real.table.certificates
+    if d in certificates:
+        return certificates[d]
     rs, keys = real.packed(d)
     masks: set[int] = set()
     for c in range(1, d // 2 + 1):
         if rs[c] >= 0 and rs[d - c] >= 0:
             A = keys[d] - keys[c] - keys[d - c]
             if not A:
+                certificates[d] = None  # a split with no defect
                 return None
             masks.add(A)
     minimal = {A for A in masks if not any(B & A == B != A for B in masks)}
     cover, common = 0, -1  # union and intersection of the minimal subsets
     for A in minimal:
         cover, common = cover | A, common & A
-    if cover.bit_count() <= rs[d] + 1 and not common:
-        return None
-    return minimal
+    certified = cover.bit_count() <= rs[d] + 1 and not common
+    certificates[d] = None if certified else minimal
+    return certificates[d]
 
 
 def _default_windows(D: QDivisor) -> tuple[int, int]:
@@ -322,10 +340,11 @@ def minimal_generators(
     """
     if D.degree < 0:
         return []
-    real = _Realization(D, field)
-    if up_to is None:
-        up_to = _default_windows(D)[0]
+    return _generators(_Realization(D, field), _default_windows(D)[0] if up_to is None else up_to)
 
+
+def _generators(real: _Realization, up_to: int) -> list[GeneratorRecord]:
+    """The body of minimal_generators, on a realization and a window."""
     found: list[GeneratorRecord] = []
     for d in range(1, up_to):
         dim = real.dim(d)
@@ -334,7 +353,7 @@ def minimal_generators(
         subsets = _pregen_subsets(real, d)
         if subsets is None:
             continue  # certified: the products fill the graded piece
-        span = RowBasis(field)
+        span = RowBasis(real.field)
         for A in subsets:
             for row, _ in real.defect_sections(d, A):
                 span.add(row)
@@ -703,7 +722,8 @@ def stability_scan(
     Configurations whose points collide after reduction are skipped and
     recorded; raises CanringError when no configuration is left to judge,
     or when every graded piece of the window is zero, so that no generator
-    could be compared (dim S_d depends on the coefficients alone).
+    could be compared.  dim S_d, the defect subsets and the certificates
+    read only the coefficients, so all generator stages share one table.
     """
     alphas = tuple(Fraction(a) for a in alphas)
     coefficients = QDivisor.of(range(len(alphas)), alphas)
@@ -713,18 +733,20 @@ def stability_scan(
         raise CanringError(
             f"no degree 1 <= d < {window} has a nonzero graded piece: the scan compares no generator"
         )
+    table = _FloorTable(padded(coefficients).alphas)
     runs = []
     for points, char in configs:
         field = FieldSpec(char)
+        points = tuple(PointP1.of(p) for p in points)
         entry: dict = {
             "config": {
-                "points": [str(PointP1.of(p)) for p in points],
+                "points": [str(p) for p in points],
                 "char": char,
             }
         }
         try:
-            D = QDivisor.of(points, alphas)
-            gens = minimal_generators(D, field, up_to)
+            D = QDivisor(points, coefficients.alphas)  # the table's Fractions: a cheap fit check
+            gens = _generators(_Realization(D, field, table), window)
             entry["generators"] = [g.to_json() for g in gens]
             if with_groebner:
                 report = groebner_leading_terms(D, field, gens, truncation)

@@ -31,10 +31,13 @@ def parse_fraction(text: str) -> Fraction:
 
 
 def format_fraction(value: Rational) -> str:
-    fr = Fraction(value)
-    if fr.denominator == 1:
-        return str(fr.numerator)
-    return f"{fr.numerator}/{fr.denominator}"
+    """The text num/den, or num when the denominator is 1; a Fraction or an
+    int is read as it is, any other value through Fraction."""
+    if not isinstance(value, (Fraction, int)):
+        value = Fraction(value)
+    if value.denominator == 1:
+        return str(value.numerator)
+    return f"{value.numerator}/{value.denominator}"
 
 
 @dataclass(frozen=True)

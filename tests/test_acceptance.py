@@ -302,15 +302,18 @@ def test_criterion_07_chords_example():
     assert x not in base
     special = QDivisor.of(base + [x], alphas)
     gens_s = minimal_generators(special, QQ)
-    rels_s = minimal_relation_degrees(special, QQ, gens_s, up_to=70)
+    relations = relation_ideal(special, QQ, gens_s, up_to=70)
+    rels_s = sorted(r.degree for r in relations)
     special_ok = gen_degs(gens_s) == [6, 10, 15, 30] and rels_s == [30, 60]
+    # every emitted relation must vanish on the generator sections
+    special_ok &= all(relation_evaluates_to_zero(special, QQ, gens_s, r) for r in relations)
 
     # the same configuration swept to the full certified relation bound
     gens_sp = minimal_generators(special, GFBIG)
-    full = minimal_relation_degrees(
-        special, GFBIG, gens_sp, up_to=degree_bounds(special)[1]
-    )
+    relations = relation_ideal(special, GFBIG, gens_sp, up_to=degree_bounds(special)[1])
+    full = sorted(r.degree for r in relations)
     full_ok = full == [30, 60]
+    full_ok &= all(relation_evaluates_to_zero(special, GFBIG, gens_sp, r) for r in relations)
 
     generic_ok = True
     rng = random.Random(707)
@@ -337,8 +340,10 @@ def test_criterion_07_chords_example():
                 continue
         Dg = QDivisor.of(pts, alphas)
         gg = minimal_generators(Dg, QQ)
-        rr = minimal_relation_degrees(Dg, QQ, gg, up_to=70)
-        if gen_degs(gg) != [6, 10, 15] or rr != [60]:
+        relations = relation_ideal(Dg, QQ, gg, up_to=70)
+        rr = sorted(r.degree for r in relations)
+        vanish = all(relation_evaluates_to_zero(Dg, QQ, gg, r) for r in relations)
+        if gen_degs(gg) != [6, 10, 15] or rr != [60] or not vanish:
             generic_ok = False
             break
         done += 1
@@ -348,7 +353,8 @@ def test_criterion_07_chords_example():
         special_ok and full_ok and generic_ok,
         f"concurrent configuration (sixth point {x}): degrees "
         f"{gen_degs(gens_s)}, relations {rels_s} (full bound: {full}); "
-        f"generic configurations give {{6,10,15}} and {{60}}",
+        f"generic configurations give {{6,10,15}} and {{60}}; every relation "
+        f"vanishes on the generator sections",
     )
 
 

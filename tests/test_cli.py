@@ -556,6 +556,33 @@ class TestByteIdentity:
             "b465d50672384801e9e845d96dc4ce9422d00d248c0eca3ea39096a29f609d5f"
         )
 
+    def test_scan_reports_are_pinned(self):
+        # the sha256 of the canonical JSON of stability_scan reports: the
+        # n = 5 scan of the benchmark (its anchor configuration and 16
+        # seeded ones in five characteristics, window 45) for seeds 1 and
+        # 2; the first n = 4 draw of acceptance criterion 08 with Groebner
+        # leading terms and relations; and a one-point divisor
+        chars = (0, 2, 3, 5, 7)
+        n5 = [Fraction(a) for a in ("-2/3", "1/2", "3/5", "1/4", "-1/6")]
+        anchor = [(("inf", 0, 1, -1, 2), 0)]
+        reports = [
+            canring.stability_scan(n5, anchor + canring.generic_configs(5, 16, chars, seed), up_to=45)
+            for seed in (1, 2)
+        ]
+        n4 = [Fraction(a) for a in ("1/4", "1/5", "-1/2", "1/6")]
+        configs = canring.generic_configs(4, 20, chars, seed=2000)
+        reports.append(
+            canring.stability_scan(n4, configs, with_groebner=True, with_relations=True, truncation=34)
+        )
+        configs = [((0,), 0), (("inf",), 2), ((Fraction(1, 2),), 2), ((Fraction(1, 3),), 3), ((9,), 7)]
+        reports.append(
+            canring.stability_scan([Fraction(13, 5)], configs, with_groebner=True, with_relations=True)
+        )
+        assert [sum(r["skipped"] for r in report["runs"]) for report in reports] == [55, 57, 65, 0]
+        assert hashlib.sha256(canonical_json(reports).encode("utf-8")).hexdigest() == (
+            "c6b9f56ce8f15ce8ef5dab4458e145194b6ab1da50a444e2ec686a19b4aa78f8"
+        )
+
 
 def _child_env():
     """The environment of a `python -m canring` child that imports this checkout."""

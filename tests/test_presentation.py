@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, reject, settings
@@ -35,6 +36,7 @@ from canring.exactla import (
 )
 from canring.presentation import (
     RelationPoly,
+    _FloorTable,
     _MonomialEvaluator,
     _Realization,
     _pregen_subsets,
@@ -1228,6 +1230,78 @@ class TestGenericConfigurations:
             for r in relations[0]
         ]
         assert reduced == relations[1]
+
+
+@st.composite
+def _scan_cases(draw):
+    """Coefficients of positive degree on at most five points (one point is
+    padded), a window, and configurations from a pool whose points collide
+    or reduce to infinity in GF(2), GF(3) or GF(7)."""
+    n = draw(st.integers(1, 5))
+    alphas = [Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 6))) for _ in range(n)]
+    alphas[0] += max(math.floor(-sum(alphas)) + 1, 0)
+    pool = [None, 0, 1, -1, 2, 3, 7, 9, F("1/2"), F("1/3"), F("2/7"), F("5/2")]
+    points = st.permutations(pool).map(lambda p: tuple(p[:n]))
+    configs = draw(st.lists(st.tuples(points, st.sampled_from([0, 2, 3, 7])), min_size=1, max_size=20))
+    return alphas, configs, draw(st.integers(2, 14))
+
+
+def _floor_degrees(run):
+    """run() and the degrees it passed to the engine's floor_divisor."""
+    degrees = []
+
+    def counted(D, d):
+        degrees.append(d)
+        return floor_divisor(D, d)
+
+    with mock.patch.object(presentation, "floor_divisor", counted):
+        return run(), degrees
+
+
+class TestSharedFloorTable:
+    """stability_scan builds one floor table and hands it to the realization
+    of every configuration's generator stage."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_scan_cases())
+    def test_scan_matches_one_realization_per_configuration(self, case):
+        alphas, configs, window = case
+        coefficients = QDivisor.of(range(len(alphas)), alphas)
+        if not any(graded_dim(coefficients, d) for d in range(1, window)):
+            with pytest.raises(CanringError, match="has a nonzero graded piece"):
+                stability_scan(alphas, configs, window)
+            return
+        expected = []  # the generators or the collision message of each configuration
+        for points, char in configs:
+            D = QDivisor.of(points, alphas)
+            try:
+                _Realization(D, FieldSpec(char))
+            except PointCollisionError as exc:
+                expected.append(str(exc))
+                continue
+            expected.append([g.to_json() for g in minimal_generators(D, FieldSpec(char), window)])
+        evaluated = [c for c, e in zip(configs, expected) if not isinstance(e, str)]
+        if not evaluated:
+            with pytest.raises(CanringError, match="scan evaluated none"):
+                stability_scan(alphas, configs, window)
+            return
+        report, degrees = _floor_degrees(lambda: stability_scan(alphas, configs, window))
+        got = [run["reason"] if run["skipped"] else run["generators"] for run in report["runs"]]
+        assert got == expected
+        # the table is grown once, by floor_divisor up to its period ell
+        ell = math.lcm(*[a.denominator for a in alphas])
+        assert degrees == list(range(min(ell, window - 1) + 1))
+        many = (evaluated * 20)[:20]
+        for scan in ([evaluated[0]], many):
+            assert _floor_degrees(lambda: stability_scan(alphas, scan, window))[1] == degrees
+
+    def test_table_must_fit_the_padded_coefficients(self):
+        table = _FloorTable(padded(D235).alphas)
+        assert _Realization(QDivisor.of([0, 1, 2], D235.alphas), GF7, table).table is table
+        assert _Realization(QDivisor.of([F("1/2")], [5]), GF2, _FloorTable((F(5), F(0)))).dim(1) == 6
+        for D in (D2PT, QDivisor.of(["inf", 0, 1], [F("-1/2"), F("1/3"), F("1/4")])):
+            with pytest.raises(AssertionError, match="does not fit"):
+                _Realization(D, QQ, table)
 
 
 class TestStabilityScan:

@@ -1,8 +1,9 @@
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from canring.errors import CanringError
@@ -214,6 +215,28 @@ class TestSerialization:
     @given(x=rationals)
     def test_roundtrip(self, x):
         assert parse_fraction(format_fraction(x)) == x
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            st.integers(),
+            st.booleans(),
+            st.fractions(),
+            st.decimals(allow_nan=False, allow_infinity=False),
+            st.floats(allow_nan=False, allow_infinity=False),
+        )
+    )
+    @example(True)
+    @example(False)
+    @example(-7)
+    @example(F("-1/2"))
+    @example(Decimal("-0.25"))
+    def test_format_reads_fractions_and_ints_directly(self, value):
+        # ints, bools and Fractions are read as given, all else through
+        # Fraction: every text must be that of Fraction(value)
+        fr = Fraction(value)
+        reference = str(fr.numerator) if fr.denominator == 1 else f"{fr.numerator}/{fr.denominator}"
+        assert format_fraction(value) == reference
 
 
 class TestLatticeVec2:
