@@ -6,7 +6,8 @@ p.  Characteristic-0 elimination is fraction-free, over content-stripped
 integer rows: an integer row enters as it is, with only its content
 divided out.  ``RowBasis`` owns the one incremental elimination loop;
 ``TrackingRowBasis`` carries each row's expression through the same
-steps and stores it with the row.  The one-shot ``rank``, ``row_reduce`` and
+steps and stores it with the row, and runs only where a relation is
+read.  The one-shot ``rank``, ``row_reduce`` and
 ``_integer_kernel`` take the field, the rows and the column count, which a
 matrix with no rows still needs; ``rank`` clears only below each pivot.
 One sparse integer kernel, read off the reduced echelon form, serves the
@@ -234,7 +235,8 @@ class RowBasis:
     Characteristic 0 keeps content-stripped integer rows, row <- (piv * row
     - f * stored) / content; prime characteristic keeps pivot-normalized
     residue rows, row <- row - f * stored.  Stored rows never change.
-    ``add`` reports whether the vector enlarged the span.  A tracking basis
+    ``add`` reports whether the vector enlarged the span, which is all the
+    relation pass asks of each candidate.  A tracking basis
     applies each step to the row's expression over the added tags as well
     and stores it with the row (else None): over QQ (num, den), a dict tag
     -> int over one positive int, cancelled by their gcd after each step;
@@ -293,12 +295,12 @@ class RowBasis:
 
 
 class TrackingRowBasis(RowBasis):
-    """Row basis that keeps how each stored row is built from the added rows.
+    """Row basis that keeps how each stored row is built from the added
+    rows; the relation pass tracks only where a relation is read.
 
-    When an added row turns out dependent, ``add`` returns the sparse
-    combination {tag: coeff} over previously added rows (including the new
-    tag itself) that sums to zero; independent rows return None.  Any
-    hashable is a tag, None included.
+    A dependent row's ``add`` returns the sparse combination {tag: coeff}
+    over the added rows (its own tag included) that sums to zero; an
+    independent one returns None.  Any hashable is a tag, None included.
     """
 
     __slots__ = ()

@@ -24,8 +24,9 @@ stays on integer rows throughout (brute_force_oracle).
 Relations and Groebner leading terms come from one degreewise pass that
 renders only the x_0-free standard monomials and the new leading terms:
 the multiples of the first generator x_0 fill a block x_0 S_{d - w_0} of
-known echelon form, which the other candidates are divided by.  Every
-relation has coefficient 1 at its leading term, in QQ as in GF(p).
+known echelon form, which the other candidates are divided by.  Only
+relation_ideal forms relations, each with coefficient 1 at its leading
+term, in QQ as in GF(p).
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from functools import partial
+from typing import Callable, Iterator, Optional, Sequence
 
 from .conelattice import GradedMonomial, _weighted_exponents, monomial_basis
 from .divisor import (
@@ -437,27 +439,35 @@ def _divide(field: FieldSpec, row: list[int], block: Optional[tuple]) -> tuple[i
 
 
 def _relation(
-    field: FieldSpec, free: dict, blocks: dict, w0: int, d: int, combo: dict, e, entry: tuple
+    field: FieldSpec, free: dict, blocks: dict, trackers: dict, w0: int, d: int, e, entry: tuple
 ) -> dict[tuple[int, ...], object]:
-    """The relation of a dependent candidate e of degree d, from the
-    combination sum_t c_t rest_t = 0 of rests (_divide) that it closes.
-
-    Each t of F(d), and e, has the entry (section, kappa, quotient), kappa
-    = scale * den, so rest_t = kappa s_t - quotient_t g.  Scaled to
-    coefficient 1 at e, the combination says sum_t a_t s_t = x_0 Q, Q of
-    degree d - w_0.  The rest of Q is solved in the rests of F(d - w_0), a
-    square invertible system, through that degree's tracker: Q + sum_f a_f
-    s_f = x_0 Q', and so on down.  The relation is sum_t a_t x^t plus sum_f
-    a_f x_0^i f at depth i.
+    """The relation of a dependent candidate e of degree d, once F(d) is
+    complete.  Each t of F(d), and e, has the entry (section, kappa,
+    quotient, rest), kappa = scale * den: rest_t = kappa s_t - quotient_t g
+    (_divide).  The rests of F(d) are independent, so the rest of e is one
+    combination sum_t c_t rest_t, read off their tracker, built on first
+    need and kept in trackers by degree.  Scaled to coefficient 1 at e, it
+    says sum_t a_t s_t = x_0 Q, Q of degree d - w_0.  The rest of Q is
+    solved in the rests of F(d - w_0), a square invertible system, likewise:
+    Q + sum_f a_f s_f = x_0 Q', and so on down.  The relation is sum_t a_t
+    x^t plus sum_f a_f x_0^i f at depth i.
     """
     relation: dict[tuple[int, ...], object] = {}
     power = 0  # of x_0
     while True:
-        block = blocks[d][0]
+        tracker = trackers.get(d)
+        if tracker is None:
+            tracker = trackers[d] = TrackingRowBasis(field)
+            for t, (_, _, _, rest) in free[d].items():
+                tracker.add(rest, t)
+        combo = tracker.add(entry[3], e)
+        if combo is None:
+            raise AssertionError(f"the standard monomials fail to span degree {d}")
+        block = blocks[d]
         inv = field.inv(field.mul(combo[e], entry[1]))
         acc = [field.zero] * (block[1] if block else 0)
         for t, c in combo.items():
-            _, kappa, quotient = entry if t == e else free[d][t]
+            _, kappa, quotient, _ = entry if t == e else free[d][t]
             if t is not None:
                 relation[(power,) + t[1:]] = field.mul(field.mul(c, kappa), inv)
             acc = [field.add(x, field.mul(c, q)) for x, q in zip(acc, quotient)]
@@ -465,17 +475,13 @@ def _relation(
         if not any(values):
             return relation
         d, power = d - w0, power + 1
-        block, tracker = blocks[d]
         if field.characteristic:
             row, den = values, 1
         else:
             den = math.lcm(*[x.denominator for x in values])
             row = [x.numerator * (den // x.denominator) for x in values]
-        scale, quotient, rest = _divide(field, row, block)
-        e, entry = None, (None, scale * den, quotient)
-        combo = tracker.add(rest, e)
-        if combo is None:
-            raise AssertionError(f"the standard monomials fail to span degree {d}")
+        scale, quotient, rest = _divide(field, row, blocks[d])
+        e, entry = None, (None, scale * den, quotient, rest)
 
 
 def _standard_pass(
@@ -483,7 +489,7 @@ def _standard_pass(
     field: FieldSpec,
     gens: Sequence[GeneratorRecord],
     up_to: int,
-) -> Iterator[tuple[int, int, list[tuple[tuple[int, ...], dict]]]]:
+) -> Iterator[tuple[int, int, list[tuple[tuple[int, ...], Callable[[], dict]]]]]:
     """The degreewise pass over the standard monomials (those that are not
     initial terms) behind relation_ideal and groebner_leading_terms.
 
@@ -495,15 +501,17 @@ def _standard_pass(
     block x_0 S_{d - w_0}, whose echelon rows are (x_0 times 1) t^j.  As
     x_0 times 1 is g_0 prod_{i in A} (q_i t - a_i), A the defect subset of
     the split (w_0, d - w_0), which is periodic in d (_Realization), it is
-    rendered once per subset.  The candidates of degree d are the x_k s,
-    k >= 1, s in F(d - w_k) and k at most its first variable, in word
-    order; those that a lower leading term divides are skipped
+    rendered once per subset; dim S_d, dim S_{d - w_0} and A are read off
+    the floor table, grown once to up_to.  The candidates of degree d are
+    the x_k s, k >= 1, s in F(d - w_k) and k at most its first variable,
+    in word order; those that a lower leading term divides are skipped
     unrendered.  Each other one is one product, divided by the block
-    (_divide), and its rest goes to the degree's TrackingRowBasis.  A
-    dependent rest gives the unique relation of e over the standard
-    monomials below it, with coefficient 1 at e (_relation).  Yields d,
-    dim I_d = #monomials(d) - dim S_d and the new (leading term, relation)
-    pairs of each degree that has any.
+    (_divide), and its rest goes to the degree's RowBasis, untracked; F(d)
+    keeps each rest.  A dependent rest gives the unique relation of e over
+    the standard monomials below it, with coefficient 1 at e, deferred: a
+    call of _relation, valid once F(d) is complete, that only a reader of
+    relations makes.  Yields d, dim I_d = #monomials(d) - dim S_d and the
+    new (leading term, deferred relation) pairs of each degree that has any.
     """
     real = _Realization(D, field)
     weights = [g.degree for g in gens]
@@ -512,17 +520,17 @@ def _standard_pass(
     for w in weights:
         for d in range(w, up_to + 1):
             count[d] += count[d - w]
+    rs, keys = real.packed(up_to)  # after count, which refuses a window past memory
     # by degree: F(d) in word order, each monomial with its section, scale
-    # * den and quotient (_divide); the block (None when it is zero) and the
-    # tracker of the rests of F(d)
+    # * den, quotient and rest (_divide); the block (None when it is zero);
+    # the tracker of the rests of F(d), once a relation needs it
     empty = (0,) * len(gens)
-    unit = TrackingRowBasis(field)
-    unit.add([1], empty)
-    free: dict[int, dict] = {0: {empty: (([1], 1), 1, [])}}
-    blocks: dict[int, tuple] = {0: (None, unit)}
+    free: dict[int, dict] = {0: {empty: (([1], 1), 1, [], [1])}}
+    blocks: dict[int, Optional[tuple]] = {0: None}
+    trackers: dict[int, TrackingRowBasis] = {}
     x0: dict[int, tuple] = {}  # (support, den) of x_0 times 1 by defect subset
     for d in range(1, up_to + 1):
-        dim = real.dim(d)
+        dim = max(rs[d] + 1, 0)
         if not count[d]:
             if dim > 0:
                 raise GenerationError(
@@ -531,21 +539,20 @@ def _standard_pass(
             continue
         if dim <= 0:
             raise AssertionError("monomials exist in a zero graded piece")
-        w0 = weights[0]
-        nq, block = real.dim(d - w0) if d >= w0 else 0, None
+        w0 = weights[0]  # there are generators: count[d] > 0
+        nq, block = max(rs[d - w0] + 1, 0) if d >= w0 else 0, None
         if nq:
-            keys = real.packed(d)[1]
             mask = keys[d] - keys[w0] - keys[d - w0]
             if mask not in x0:
                 g, den = real.multiply(w0, gen_sections[0], d - w0, ([1], 1))
                 x0[mask] = [(i, c) for i, c in enumerate(g) if c], den
             support, den = x0[mask]
             block = (support[0][0], nq, support, den)
-        tracker, level, new = TrackingRowBasis(field), {}, []
-        free[d], blocks[d] = level, (block, tracker)
+        span, level, new = RowBasis(field), {}, []
+        free[d], blocks[d] = level, block
         for k in range(1, len(gens)):
             w = weights[k]
-            for s, (s_section, _, _) in free.get(d - w, {}).items():
+            for s, (s_section, _, _, _) in free.get(d - w, {}).items():
                 e = s[:k] + (s[k] + 1,) + s[k + 1 :]
                 if any(s[:k]) or any(
                     x and e[:j] + (x - 1,) + e[j + 1 :] not in free[d - weights[j]]
@@ -554,15 +561,14 @@ def _standard_pass(
                     continue
                 section = real.multiply(w, gen_sections[k], d - w, s_section)
                 scale, quotient, rest = _divide(field, section[0], block)
-                entry = (section, scale * section[1], quotient)
-                combo = tracker.add(rest, e)
-                if combo is None:
+                entry = (section, scale * section[1], quotient, rest)
+                if span.add(rest):
                     level[e] = entry
-                    continue
-                new.append((e, _relation(field, free, blocks, w0, d, combo, e, entry)))
-        if nq + tracker.rank != dim:
+                else:
+                    new.append((e, partial(_relation, field, free, blocks, trackers, w0, d, e, entry)))
+        if nq + span.rank != dim:
             raise GenerationError(
-                f"generators span only {nq + tracker.rank} of {dim} dimensions in degree {d}"
+                f"generators span only {nq + span.rank} of {dim} dimensions in degree {d}"
             )
         if new:
             yield d, count[d] - dim, new
@@ -584,11 +590,12 @@ def relation_ideal(
     the leading terms agree).  The word order is multiplicative within a
     degree, so a relation whose leading term is a multiple of a lower one
     lies in (mI)_d (m the ideal of the generators) plus the g_e below it,
-    and is never emitted.  Graded Nakayama runs only in degrees with new
-    leading terms, seeded with the shifts x^a g (a != 0) of the lower g_e,
-    which span (mI)_d, until its rank reaches dim I_d.  Raises
-    GenerationError if the generators fail the dimension (Hilbert series)
-    check at any degree.
+    and is never emitted.  Each g_e is formed here, from the pass's
+    deferred relation, once its degree is complete.  Graded Nakayama runs
+    only in degrees with new leading terms, seeded with the shifts x^a g
+    (a != 0) of the lower g_e, which span (mI)_d, until its rank reaches
+    dim I_d.  Raises GenerationError if the generators fail the dimension
+    (Hilbert series) check at any degree.
     """
     if up_to is None:
         up_to = _default_windows(D)[1]
@@ -596,6 +603,7 @@ def relation_ideal(
     lower: dict[int, list[dict]] = {}  # the relations g_e by degree
     minimal: list[RelationPoly] = []
     for d, target, new in _standard_pass(D, field, gens, up_to):
+        rels = [relation() for _, relation in new]  # F(d) is complete
         nakayama = SparseRowBasis(field)
         shifts = [
             {tuple([x + y for x, y in zip(e, a)]): c for e, c in g.items()}
@@ -609,11 +617,11 @@ def relation_ideal(
             if nakayama.rank == target:
                 break  # (mI)_d is all of I_d
         else:
-            for _, vec in new:
+            for vec in rels:
                 if nakayama.add(vec):
                     terms = tuple(sorted(vec.items(), key=lambda t: _word(t[0])))
                     minimal.append(RelationPoly(d, terms))
-        lower[d] = [vec for _, vec in new]
+        lower[d] = rels
     return minimal
 
 
@@ -637,8 +645,9 @@ def groebner_leading_terms(
     standard monomials.  A multiple of a leading term is one again, and its
     section lies in the span of those below it, so skipping it unrendered
     changes no judgement; no minimal leading term contains x_0, whose
-    multiples the pass derives unrendered.  The terms found are the
-    divisibility-minimal ones up to the truncation degree.
+    multiples the pass derives unrendered.  The pass's deferred relations
+    are never formed, so no elimination here is tracked.  The terms found
+    are the divisibility-minimal ones up to the truncation degree.
     """
     if up_to is None:
         up_to = _default_windows(D)[1]

@@ -556,6 +556,26 @@ class TestByteIdentity:
             "b465d50672384801e9e845d96dc4ce9422d00d248c0eca3ea39096a29f609d5f"
         )
 
+    def test_relations_are_pinned(self):
+        # the sha256 of every relation's terms with their exact
+        # coefficients, where the reports pin only degrees and support
+        # sizes: 2,3,5 in QQ and GF(7), chords to 120 in QQ and
+        # GF(2^61 - 1), and a four-point divisor in QQ
+        fr = [Fraction(a) for a in ("-1/2", "1/3", "1/5", "-2/3", "1/2", "3/5", "1/4")]
+        d235 = canring.QDivisor.of(["inf", 0, 1], fr[:3])
+        chords = canring.QDivisor.of([0, 1, 2, 3, 4, Fraction(9, 5)], [fr[0], fr[0], fr[1], fr[1], fr[2], fr[2]])
+        four = canring.QDivisor.of(["inf", 0, 1, -1], fr[3:])
+        cases = [(d235, 0, None), (d235, 7, None), (chords, 0, 120), (chords, 2**61 - 1, 120), (four, 0, None)]
+        relations = []
+        for D, char, window in cases:
+            field = canring.FieldSpec(char)
+            rels = canring.relation_ideal(D, field, canring.minimal_generators(D, field), window)
+            relations.append([[r.degree, [[list(e), str(c)] for e, c in sorted(r.terms)]] for r in rels])
+        assert [len(rels) for rels in relations] == [1, 1, 2, 2, 10]
+        assert hashlib.sha256(canonical_json(relations).encode("utf-8")).hexdigest() == (
+            "5b3dc7788ddd499e3218efd57c799f1e8d9755703616b4993e5afd0858e74538"
+        )
+
     def test_scan_reports_are_pinned(self):
         # the sha256 of the canonical JSON of stability_scan reports: the
         # n = 5 scan of the benchmark (its anchor configuration and 16

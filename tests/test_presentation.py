@@ -1,3 +1,4 @@
+import collections
 import functools
 import gc
 import itertools
@@ -631,9 +632,9 @@ _CRITERION_09_ALPHAS = st.lists(
 
 def assert_x0_free_work(field, consumer, monkeypatch):
     """The multiples of x_0 (degree 6) on the chords divisor are derived:
-    each degree renders its dim S_d - dim S_{d-6} x_0-free standard
-    monomials and new leading terms, 43 of them to degree 120 where
-    tracking every standard monomial takes 385, and x_0 times 1 is
+    each degree renders and eliminates its dim S_d - dim S_{d-6} x_0-free
+    standard monomials and new leading terms, 43 of them to degree 120
+    where eliminating every standard monomial takes 385, and x_0 times 1 is
     rendered once per defect subset {i : floor(6 a_i) + floor((d-6) a_i) <
     floor(d a_i)} of the degrees with dim S_{d-6} > 0: 2 products where
     one per degree would be 100."""
@@ -643,23 +644,22 @@ def assert_x0_free_work(field, consumer, monkeypatch):
     below = [real.dim(d - 6) if d >= 6 else 0 for d in range(121)]
     free = sum(real.dim(d) - below[d] for d in range(1, 121))
     leading = groebner_leading_terms(CHORDS, field, gens, up_to=120).leading_terms
-    assert free + len(leading) == 43
-    tags, products = [], []
-    add, multiply = TrackingRowBasis.add, _Realization.multiply
+    assert free + len(leading) == 43 and not any(e[0] for e in leading)
+    candidates, products = [], []
+    add, multiply = RowBasis.add, _Realization.multiply
 
-    def counted_add(self, vec, tag):
-        tags.append(tag)
-        return add(self, vec, tag)
+    def counted_add(self, vec):
+        candidates.append(vec)
+        return add(self, vec)
 
     def counted_multiply(self, *args):
         products.append(args[0])
         return multiply(self, *args)
 
-    monkeypatch.setattr(TrackingRowBasis, "add", counted_add)
+    monkeypatch.setattr(RowBasis, "add", counted_add)
     monkeypatch.setattr(_Realization, "multiply", counted_multiply)
     consumer(CHORDS, field, gens, up_to=120)
-    candidates = [tag for tag in tags if tag is not None and any(tag)]
-    assert len(candidates) == 43 and not any(e[0] for e in candidates)
+    assert len(candidates) == 43
     floors = [floor_divisor(CHORDS, d) for d in range(121)]
     subsets = {
         tuple(i for i, (a, b, c) in enumerate(zip(floors[6], floors[d - 6], floors[d])) if a + b < c)
@@ -822,6 +822,38 @@ class TestRelations:
     def test_tracks_standard_monomials_and_leading_terms_only(self, field, monkeypatch):
         assert_x0_free_work(field, relation_ideal, monkeypatch)
 
+    @pytest.mark.parametrize("field", [QQ, GFBIG])
+    def test_tracks_only_the_degrees_a_relation_reaches(self, field, monkeypatch):
+        # a degree's rests are tracked once, on the first relation or
+        # descent that reaches it: |F(d)| adds, then one probe per visit
+        gens = minimal_generators(CHORDS, field)
+        w0 = gens[0].degree
+        calls, adds = [], []
+        relation, add = presentation._relation, TrackingRowBasis.add
+
+        def recorded_relation(*args):
+            calls.append((args, relation(*args)))
+            return calls[-1][1]
+
+        def recorded_add(self, vec, tag):
+            adds.append(self)
+            return add(self, vec, tag)
+
+        monkeypatch.setattr(presentation, "_relation", recorded_relation)
+        monkeypatch.setattr(TrackingRowBasis, "add", recorded_add)
+        relation_ideal(CHORDS, field, gens, 120)
+        trackers = calls[0][0][3]  # the pass's trackers by degree
+        assert {id(t) for t in adds} == {id(t) for t in trackers.values()}
+        probes = collections.Counter()
+        for args, rel in calls:
+            depth = max(e[0] for e in rel)  # the descent ends where x_0 does
+            probes.update(args[5] - i * w0 for i in range(depth + 1))
+        assert set(trackers) <= set(probes)
+        real = _Realization(CHORDS, field)
+        for d, tracker in trackers.items():
+            free = real.dim(d) - (real.dim(d - w0) if d >= w0 else 0)
+            assert sum(t is tracker for t in adds) <= free + probes[d]
+
     @pytest.mark.parametrize("field", [QQ, GF7, GFBIG])
     @pytest.mark.parametrize(
         "D, window, order",
@@ -954,6 +986,26 @@ class TestGroebner:
     @pytest.mark.parametrize("field", [QQ, GFBIG])
     def test_renders_standard_monomials_and_leading_terms_only(self, field, monkeypatch):
         assert_x0_free_work(field, groebner_leading_terms, monkeypatch)
+
+    @pytest.mark.parametrize(
+        "D, field, window, leading",
+        [
+            (CHORDS, QQ, 120, ((0, 0, 2, 0), (0, 0, 0, 2))),
+            (CHORDS, GFBIG, 120, ((0, 0, 2, 0), (0, 0, 0, 2))),
+            (D235, QQ, None, ((0, 0, 2),)),
+        ],
+        ids=["chords-QQ", "chords-GFBIG", "235-QQ"],
+    )
+    def test_forms_no_relation(self, D, field, window, leading, monkeypatch):
+        # the pass defers each relation; the Groebner stage reads none
+        gens = minimal_generators(D, field)
+
+        def forbidden(*args):
+            raise AssertionError("the Groebner stage formed a relation")
+
+        monkeypatch.setattr(presentation, "_relation", forbidden)
+        monkeypatch.setattr(TrackingRowBasis, "add", forbidden)
+        assert groebner_leading_terms(D, field, gens, window).leading_terms == leading
 
 
 class TestDefaultWindows:
