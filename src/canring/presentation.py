@@ -520,7 +520,7 @@ def _standard_pass(
     for w in weights:
         for d in range(w, up_to + 1):
             count[d] += count[d - w]
-    rs, keys = real.packed(up_to)  # after count, which refuses a window past memory
+    keys = real.packed(up_to)[1]  # after count, which refuses a window past memory
     # by degree: F(d) in word order, each monomial with its section, scale
     # * den, quotient and rest (_divide); the block (None when it is zero);
     # the tracker of the rests of F(d), once a relation needs it
@@ -530,7 +530,7 @@ def _standard_pass(
     trackers: dict[int, TrackingRowBasis] = {}
     x0: dict[int, tuple] = {}  # (support, den) of x_0 times 1 by defect subset
     for d in range(1, up_to + 1):
-        dim = max(rs[d] + 1, 0)
+        dim = real.dim(d)
         if not count[d]:
             if dim > 0:
                 raise GenerationError(
@@ -540,7 +540,7 @@ def _standard_pass(
         if dim <= 0:
             raise AssertionError("monomials exist in a zero graded piece")
         w0 = weights[0]  # there are generators: count[d] > 0
-        nq, block = max(rs[d - w0] + 1, 0) if d >= w0 else 0, None
+        nq, block = real.dim(d - w0) if d >= w0 else 0, None
         if nq:
             mask = keys[d] - keys[w0] - keys[d - w0]
             if mask not in x0:
@@ -603,7 +603,7 @@ def relation_ideal(
     lower: dict[int, list[dict]] = {}  # the relations g_e by degree
     minimal: list[RelationPoly] = []
     for d, target, new in _standard_pass(D, field, gens, up_to):
-        rels = [relation() for _, relation in new]  # F(d) is complete
+        formed = [relation() for _, relation in new]  # F(d) is complete
         nakayama = SparseRowBasis(field)
         shifts = [
             {tuple([x + y for x, y in zip(e, a)]): c for e, c in g.items()}
@@ -617,11 +617,11 @@ def relation_ideal(
             if nakayama.rank == target:
                 break  # (mI)_d is all of I_d
         else:
-            for vec in rels:
+            for vec in formed:
                 if nakayama.add(vec):
                     terms = tuple(sorted(vec.items(), key=lambda t: _word(t[0])))
                     minimal.append(RelationPoly(d, terms))
-        lower[d] = rels
+        lower[d] = formed
     return minimal
 
 

@@ -645,8 +645,8 @@ def assert_x0_free_work(field, consumer, monkeypatch):
     free = sum(real.dim(d) - below[d] for d in range(1, 121))
     leading = groebner_leading_terms(CHORDS, field, gens, up_to=120).leading_terms
     assert free + len(leading) == 43 and not any(e[0] for e in leading)
-    candidates, products = [], []
-    add, multiply = RowBasis.add, _Realization.multiply
+    candidates, products, yielded = [], [], []
+    add, multiply, standard_pass = RowBasis.add, _Realization.multiply, presentation._standard_pass
 
     def counted_add(self, vec):
         candidates.append(vec)
@@ -656,10 +656,24 @@ def assert_x0_free_work(field, consumer, monkeypatch):
         products.append(args[0])
         return multiply(self, *args)
 
+    def recorded_pass(*args):
+        for item in standard_pass(*args):
+            yielded.append(item)
+            yield item
+
     monkeypatch.setattr(RowBasis, "add", counted_add)
     monkeypatch.setattr(_Realization, "multiply", counted_multiply)
+    monkeypatch.setattr(presentation, "_standard_pass", recorded_pass)
     consumer(CHORDS, field, gens, up_to=120)
     assert len(candidates) == 43
+    # the candidates are the independent F(d) entries, which each deferred
+    # relation holds (by the end of the pass all of them), and the new
+    # leading terms: none contains x_0
+    new = [pair for _, _, pairs in yielded for pair in pairs]
+    free = new[0][1].args[1]
+    assert all(relation.args[1] is free for _, relation in new)
+    eliminated = [e for d, level in free.items() if d for e in level] + [e for e, _ in new]
+    assert len(eliminated) == 43 and not any(e[0] for e in eliminated)
     floors = [floor_divisor(CHORDS, d) for d in range(121)]
     subsets = {
         tuple(i for i, (a, b, c) in enumerate(zip(floors[6], floors[d - 6], floors[d])) if a + b < c)
