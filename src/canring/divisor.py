@@ -74,7 +74,7 @@ class QDivisor:
 
     @property
     def denominators(self) -> tuple[int, ...]:
-        return tuple(a.denominator for a in self.alphas)
+        return tuple([a.denominator for a in self.alphas])
 
     def __str__(self) -> str:
         terms = ", ".join(

@@ -24,9 +24,9 @@ stays on integer rows throughout (brute_force_oracle).
 Relations and Groebner leading terms come from one degreewise pass that
 renders only the x_0-free standard monomials and the new leading terms:
 the multiples of the first generator x_0 fill a block x_0 S_{d - w_0} of
-known echelon form, which the other candidates are divided by.  Only
-relation_ideal forms relations, each with coefficient 1 at its leading
-term, in QQ as in GF(p).
+known echelon form, which the other candidates are divided by.  Only a
+reader of relations forms them, each monic at its leading term.  A scan
+runs every stage of a configuration on one realization and one pass.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .conelattice import GradedMonomial, _weighted_exponents, monomial_basis
 from .divisor import (
@@ -485,13 +485,12 @@ def _relation(
 
 
 def _standard_pass(
-    D: QDivisor,
-    field: FieldSpec,
+    real: _Realization,
     gens: Sequence[GeneratorRecord],
     up_to: int,
 ) -> Iterator[tuple[int, int, list[tuple[tuple[int, ...], Callable[[], dict]]]]]:
     """The degreewise pass over the standard monomials (those that are not
-    initial terms) behind relation_ideal and groebner_leading_terms.
+    initial terms) of a realization; relations and leading terms read it.
 
     S_d is a space of polynomials, so multiplying by a generator is
     injective, and in word order every monomial with x_0 precedes every
@@ -513,8 +512,7 @@ def _standard_pass(
     relations makes.  Yields d, dim I_d = #monomials(d) - dim S_d and the
     new (leading term, deferred relation) pairs of each degree that has any.
     """
-    real = _Realization(D, field)
-    weights = [g.degree for g in gens]
+    field, weights = real.field, [g.degree for g in gens]
     gen_sections = [real.render_monomial(g.monomial) for g in gens]
     count = [1] + [0] * up_to  # monomials of each degree (coin change)
     for w in weights:
@@ -590,19 +588,23 @@ def relation_ideal(
     the leading terms agree).  The word order is multiplicative within a
     degree, so a relation whose leading term is a multiple of a lower one
     lies in (mI)_d (m the ideal of the generators) plus the g_e below it,
-    and is never emitted.  Each g_e is formed here, from the pass's
-    deferred relation, once its degree is complete.  Graded Nakayama runs
-    only in degrees with new leading terms, seeded with the shifts x^a g
-    (a != 0) of the lower g_e, which span (mI)_d, until its rank reaches
-    dim I_d.  Raises GenerationError if the generators fail the dimension
-    (Hilbert series) check at any degree.
+    and is never emitted.  Graded Nakayama runs only in degrees with new
+    leading terms, seeded with the shifts x^a g (a != 0) of the lower g_e,
+    which span (mI)_d, until its rank reaches dim I_d.  Raises
+    GenerationError if the generators fail the dimension (Hilbert series)
+    check at any degree.
     """
     if up_to is None:
         up_to = _default_windows(D)[1]
+    return _relations(field, gens, _standard_pass(_Realization(D, field), gens, up_to))
+
+
+def _relations(field: FieldSpec, gens: Sequence[GeneratorRecord], passed: Iterable) -> list[RelationPoly]:
+    """The body of relation_ideal, over the items of a standard pass."""
     weights = [g.degree for g in gens]
     lower: dict[int, list[dict]] = {}  # the relations g_e by degree
     minimal: list[RelationPoly] = []
-    for d, target, new in _standard_pass(D, field, gens, up_to):
+    for d, target, new in passed:
         formed = [relation() for _, relation in new]  # F(d) is complete
         nakayama = SparseRowBasis(field)
         shifts = [
@@ -642,20 +644,18 @@ def groebner_leading_terms(
 ) -> GroebnerReport:
     """Degreewise initial-ideal computation under the dictionary word order
     on generator monomials: the new leading terms of the pass over the
-    standard monomials.  A multiple of a leading term is one again, and its
-    section lies in the span of those below it, so skipping it unrendered
-    changes no judgement; no minimal leading term contains x_0, whose
-    multiples the pass derives unrendered.  The pass's deferred relations
-    are never formed, so no elimination here is tracked.  The terms found
-    are the divisibility-minimal ones up to the truncation degree.
+    standard monomials, none with x_0.  A multiple of a leading term is one
+    again, and its section lies in the span of those below it, so skipping
+    it unrendered changes no judgement.  The pass's deferred relations are
+    never formed, so no elimination here is tracked.  The terms found are
+    the divisibility-minimal ones up to the truncation degree.
     """
     if up_to is None:
         up_to = _default_windows(D)[1]
-    leading = [e for _, _, new in _standard_pass(D, field, gens, up_to) for e, _ in new]
-    leading.sort(key=_word)
+    leading = [e for _, _, new in _standard_pass(_Realization(D, field), gens, up_to) for e, _ in new]
     return GroebnerReport(
         order="revlex (dictionary word order on generator monomials)",
-        leading_terms=tuple(leading),
+        leading_terms=tuple(sorted(leading, key=_word)),
         truncation_degree=up_to,
     )
 
@@ -732,11 +732,13 @@ def stability_scan(
     recorded; raises CanringError when no configuration is left to judge,
     or when every graded piece of the window is zero, so that no generator
     could be compared.  dim S_d, the defect subsets and the certificates
-    read only the coefficients, so all generator stages share one table.
+    read only the coefficients, so all configurations share one table; each
+    runs all its stages on one realization and one standard pass.
     """
-    alphas = tuple(Fraction(a) for a in alphas)
     coefficients = QDivisor.of(range(len(alphas)), alphas)
-    window = _default_windows(coefficients)[0] if up_to is None else up_to
+    windows = _default_windows(coefficients)  # they read only the coefficients
+    window = windows[0] if up_to is None else up_to
+    truncation = windows[1] if truncation is None else truncation
     # S_d = 0 for all d >= 1 in negative degree; else S_ell != 0 ends any() by d = ell
     if coefficients.degree < 0 or not any(graded_dim(coefficients, d) for d in range(1, window)):
         raise CanringError(
@@ -755,17 +757,15 @@ def stability_scan(
         }
         try:
             D = QDivisor(points, coefficients.alphas)  # the table's Fractions: a cheap fit check
-            gens = _generators(_Realization(D, field, table), window)
+            real = _Realization(D, field, table)
+            gens = _generators(real, window)
             entry["generators"] = [g.to_json() for g in gens]
+            passed = list(_standard_pass(real, gens, truncation)) if with_groebner or with_relations else []
             if with_groebner:
-                report = groebner_leading_terms(D, field, gens, truncation)
-                entry["groebner"] = {
-                    "truncation": report.truncation_degree,
-                    "leading_terms": [list(e) for e in report.leading_terms],
-                }
+                leading = [list(e) for _, _, new in passed for e, _ in new]
+                entry["groebner"] = {"truncation": truncation, "leading_terms": sorted(leading, key=_word)}
             if with_relations:
-                rels = relation_ideal(D, field, gens, truncation)
-                entry["relations"] = [r.summary() for r in rels]
+                entry["relations"] = [r.summary() for r in _relations(field, gens, passed)]
             entry["skipped"] = False
         except PointCollisionError as exc:
             entry["skipped"] = True
@@ -786,11 +786,11 @@ def stability_scan(
     for entry, multiset in zip(evaluated, multisets):
         entry["agrees"] = multiset == modal
     report = {
-        "alphas": [format_fraction(a) for a in alphas],
+        "alphas": [format_fraction(a) for a in coefficients.alphas],
         "runs": runs,
         "stable": stable,
     }
-    if sum(alphas) > 0:
+    if coefficients.degree > 0:
         # generators at or above this degree are stably selectable by the
         # general theory; disagreements can only involve lower degrees
         report["xgen_threshold"] = xgen_threshold(coefficients)

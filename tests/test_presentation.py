@@ -1035,9 +1035,9 @@ class TestDefaultWindows:
         windows = []
         standard_pass = presentation._standard_pass
 
-        def spy(D, field, gens, up_to):
+        def spy(real, gens, up_to):
             windows.append(up_to)
-            return standard_pass(D, field, gens, up_to)
+            return standard_pass(real, gens, up_to)
 
         monkeypatch.setattr(presentation, "_standard_pass", spy)
         gens = minimal_generators(D, QQ)
@@ -1325,8 +1325,8 @@ def _floor_degrees(run):
 
 
 class TestSharedFloorTable:
-    """stability_scan builds one floor table and hands it to the realization
-    of every configuration's generator stage."""
+    """stability_scan builds one floor table and hands it to the one
+    realization of each configuration, on which all its stages run."""
 
     @settings(max_examples=60, deadline=None)
     @given(_scan_cases())
@@ -1356,10 +1356,68 @@ class TestSharedFloorTable:
         assert got == expected
         # the table is grown once, by floor_divisor up to its period ell
         ell = math.lcm(*[a.denominator for a in alphas])
-        assert degrees == list(range(min(ell, window - 1) + 1))
+        table = list(range(min(ell, window - 1) + 1))
+        assert degrees == table
         many = (evaluated * 20)[:20]
         for scan in ([evaluated[0]], many):
             assert _floor_degrees(lambda: stability_scan(alphas, scan, window))[1] == degrees
+        # with both reports, each configuration's pass reads the same table
+        # and renders each generator from the floors of its degree
+        report, degrees = _floor_degrees(
+            lambda: stability_scan(
+                alphas, configs, window, with_groebner=True, with_relations=True, truncation=window - 1
+            )
+        )
+        runs = [run for run in report["runs"] if not run["skipped"]]
+        assert degrees[: len(table)] == table
+        assert degrees[len(table) :] == [g["degree"] for run in runs for g in run["generators"]]
+        for (points, char), run in zip(evaluated, runs):
+            D, field = QDivisor.of(points, alphas), FieldSpec(char)
+            gens = minimal_generators(D, field, window)
+            groebner = groebner_leading_terms(D, field, gens, window - 1)
+            assert run["groebner"] == {
+                "truncation": window - 1,
+                "leading_terms": [list(e) for e in groebner.leading_terms],
+            }
+            assert run["relations"] == [r.summary() for r in relation_ideal(D, field, gens, window - 1)]
+
+    def test_one_realization_and_one_pass_per_configuration(self, monkeypatch):
+        """The n = 4 draw alphas 1/4, 1/5, -1/2, 1/6 of criterion 08 on 100
+        configurations, 37 of them evaluated, with both reports to degree 34:
+        one realization per configuration and one standard pass per evaluated
+        one, where building each stage its own took 174 and 74; floor_divisor
+        grows the table to ell = 60 and then renders the generators of each
+        evaluated configuration, 320 calls where it made 3169."""
+        alphas = [F("1/4"), F("1/5"), F("-1/2"), F("1/6")]
+        configs = generic_configs(4, 20, [0, 2, 3, 5, 7], 88)
+        calls = collections.Counter()
+
+        def counted(name, function):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(_Realization, "__init__", counted("realization", _Realization.__init__))
+        for name in ("_standard_pass", "_relation"):
+            monkeypatch.setattr(presentation, name, counted(name, getattr(presentation, name)))
+        report, degrees = _floor_degrees(
+            lambda: stability_scan(alphas, configs, with_groebner=True, with_relations=True, truncation=34)
+        )
+        runs = [run for run in report["runs"] if not run["skipped"]]
+        assert (len(report["runs"]), len(runs)) == (100, 37)
+        assert (calls["realization"], calls["_standard_pass"]) == (100, 37)
+        assert calls["_relation"] > 0
+        generator_degrees = [g["degree"] for run in runs for g in run["generators"]]
+        assert degrees == list(range(61)) + generator_degrees and len(degrees) == 320
+        # the Groebner report forces no deferred relation
+        calls.clear()
+        groebner = stability_scan(alphas, configs, with_groebner=True, truncation=34)
+        assert [run.get("groebner") for run in groebner["runs"]] == [
+            run.get("groebner") for run in report["runs"]
+        ]
+        assert (calls["realization"], calls["_standard_pass"], calls["_relation"]) == (100, 37, 0)
 
     def test_table_must_fit_the_padded_coefficients(self):
         table = _FloorTable(padded(D235).alphas)
