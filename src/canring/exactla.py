@@ -1,17 +1,17 @@
 """Exact linear algebra over the rationals and over prime fields.
 
-Matrix entries are exact rationals in characteristic 0, ``int``s or
-``fractions.Fraction``s mixed freely, and ints read mod p in characteristic
-p.  Characteristic-0 elimination is fraction-free, over content-stripped
-integer rows: an integer row enters as it is, with only its content
-divided out.  ``RowBasis`` owns the one incremental elimination loop;
-``TrackingRowBasis`` carries each row's expression through the same
-steps and stores it with the row, and runs only where a relation is
-read.  The one-shot ``rank``, ``row_reduce`` and
-``_integer_kernel`` take the field, the rows and the column count, which a
-matrix with no rows still needs; ``rank`` clears only below each pivot.
-One sparse integer kernel, read off the reduced echelon form, serves the
-brute-force oracle; ``row_reduce`` builds ``Fraction``s only at the end.
+Rows are rows of ints in every field, each entry read with
+``operator.index``, so a non-integral one raises ``TypeError``: mod p in
+characteristic p; in characteristic 0 with the row's content divided out,
+then eliminated fraction-free.  A rational row enters scaled by the lcm
+of its denominators.  ``RowBasis`` owns the one incremental elimination
+loop; ``TrackingRowBasis`` carries each row's expression through the same
+steps and stores it with the row, and runs only where a relation is read.
+The one-shot ``rank``, ``row_reduce`` and ``_integer_kernel`` take the
+field, the rows and the column count, which a matrix with no rows still
+needs; ``rank`` clears only below each pivot.  One sparse integer kernel,
+read off the reduced echelon form, serves the brute-force oracle;
+``row_reduce`` builds ``Fraction``s only at the end.
 """
 
 from __future__ import annotations
@@ -111,32 +111,13 @@ def _strip_content(row: list[int]) -> tuple[list[int], int]:
     return [x // g for x in row], g
 
 
-def _to_integer_row(vec: Sequence) -> tuple[list[int], int, int]:
-    """(row, num, den): the content-stripped integer row vec * num/den.
-
-    num is the lcm of the denominators and den the content it clears; they
-    share no prime, so num/den is in lowest terms (1/1 for a zero vector).
-    """
-    den = 1
-    for x in vec:
-        d = x.denominator
-        if d != 1:
-            den = den * d // math.gcd(den, d)
-    if den == 1:
-        row = [x.numerator for x in vec]
-    else:
-        row = [x.numerator * (den // x.denominator) for x in vec]
-    row, content = _strip_content(row)
-    return row, den, content
-
-
 def _echelon(
     field: FieldSpec, rows: Sequence[Sequence], ncols: int, reduced: bool
 ) -> tuple[list[list[int]], list[int]]:
     """Echelon rows and pivot columns of the matrix with these rows and
     ncols columns, all zero rows at the bottom.
 
-    QQ rows are content-stripped integer rows, eliminated fraction-free:
+    QQ rows are stripped of content on entry and eliminated fraction-free:
     row <- (piv/g) * row - (f/g) * pivot row with g = gcd(piv, f), then
     stripped of content.  GF(p) entries are reduced mod p on entry and
     pivot rows normalized.  ``reduced`` clears above each pivot as well
@@ -148,7 +129,7 @@ def _echelon(
     if p:
         rows = [[index(x) % p for x in r] for r in rows]
     else:
-        rows = [_to_integer_row(r)[0] for r in rows]
+        rows = [_strip_content([index(x) for x in r])[0] for r in rows]
     pivots: list[int] = []
     r = 0
     for col in range(ncols):
@@ -214,21 +195,6 @@ def _integer_kernel(field: FieldSpec, rows: Sequence[Sequence], ncols: int) -> l
     return basis
 
 
-def _combine(expr: tuple, piv: int, f: int, factor: int, stored: tuple) -> tuple:
-    """(piv * expr - f * stored) / factor for QQ expressions (num, den)."""
-    num, den = expr
-    snum, sden = stored
-    g = math.gcd(den, sden)
-    mine, theirs = piv * (sden // g), f * (den // g)
-    den *= (sden // g) * factor
-    num = {t: c for t in num | snum if (c := mine * num.get(t, 0) - theirs * snum.get(t, 0))}
-    g = math.gcd(den, *num.values())
-    if g > 1:
-        den //= g
-        num = {t: c // g for t, c in num.items()}
-    return num, den
-
-
 class RowBasis:
     """Incremental row-span tracker (forward elimination only).
 
@@ -236,11 +202,11 @@ class RowBasis:
     - f * stored) / content; prime characteristic keeps pivot-normalized
     residue rows, row <- row - f * stored.  Stored rows never change.
     ``add`` reports whether the vector enlarged the span, which is all the
-    relation pass asks of each candidate.  A tracking basis
-    applies each step to the row's expression over the added tags as well
-    and stores it with the row (else None): over QQ (num, den), a dict tag
-    -> int over one positive int, cancelled by their gcd after each step;
-    mod p a dict tag -> residue, normalized with its row.
+    relation pass asks of each candidate.  A tracking basis applies each
+    step to the row's expression over the added tags as well and stores it
+    with the row (else None): a dict tag -> coefficient, over QQ a
+    ``Fraction`` that starts at 1/content, mod p a residue normalized with
+    its row.
     """
 
     __slots__ = ("field", "_rows")
@@ -274,15 +240,19 @@ class RowBasis:
                         for t, c in sexpr.items():
                             expr[t] = (expr.get(t, 0) - f * c) % p
         else:
-            row, scale, den = _to_integer_row(vec)
-            expr = ({tag: scale}, den) if track else None  # the row == vec * scale/den
+            row, content = _strip_content([index(x) for x in vec])
+            expr = {tag: Fraction(1, content)} if track else None  # the row == vec / content
             for col, stored, sexpr in self._rows:
                 f = row[col]
                 if f:
                     piv = stored[col]
                     row, factor = _strip_content([piv * a - f * b for a, b in zip(row, stored)])
                     if track:
-                        expr = _combine(expr, piv, f, factor, sexpr)
+                        expr = {
+                            t: c
+                            for t in expr | sexpr
+                            if (c := (piv * expr.get(t, 0) - f * sexpr.get(t, 0)) / factor)
+                        }
         lead = next((i for i, x in enumerate(row) if x), None)
         if lead is not None:
             if p:
@@ -308,12 +278,7 @@ class TrackingRowBasis(RowBasis):
 
     def add(self, vec: Sequence, tag) -> Optional[dict]:
         lead, expr = self._eliminate(vec, tag)
-        if lead is not None:
-            return None
-        if self.field.characteristic:
-            return {t: c for t, c in expr.items() if c}
-        num, den = expr
-        return {t: Fraction(c, den) for t, c in num.items()}
+        return None if lead is not None else {t: c for t, c in expr.items() if c}
 
 
 class SparseRowBasis:

@@ -247,12 +247,16 @@ def test_criterion_05_characteristic_two_example():
 
 
 def test_criterion_06_harmonic_example():
-    def triple_rank(lam):
-        rows = [[1, 0, 0], [0, 0, 1], [lam, -(1 + lam), 1]]  # 1, t^2, (t-1)(t-lam)
-        return rank(QQ, rows, 3)
+    def triple_rank(third):
+        return rank(QQ, [[1, 0, 0], [0, 0, 1], third], 3)  # 1, t^2 and third
 
-    degenerate_only_at_minus_one = triple_rank(-1) == 2 and all(
-        triple_rank(lam) == 3 for lam in (2, 5, -3, Fraction(1, 2))
+    def factor_row(lam):
+        return [lam, -(1 + lam), 1]  # (t-1)(t-lam)
+
+    # lambda = 1/2 as the integer row 2 (t-1)(t-1/2)
+    degenerate_only_at_minus_one = triple_rank(factor_row(-1)) == 2 and all(
+        triple_rank(third) == 3
+        for third in (factor_row(2), factor_row(5), factor_row(-3), [1, -3, 2])
     )
     harmonic = ((None, 0, 1, -1), 0)
     configs = [harmonic] + generic_configs(4, 6, [0, 3], seed=606)

@@ -3,6 +3,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 import pytest
+from field_tracker import FieldTracker
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,57 +28,15 @@ GF_M61 = FieldSpec((1 << 61) - 1)
 Mat = namedtuple("Mat", "field rows ncols")
 
 
+def integer_row(vec):
+    """A row of rationals scaled by the lcm of its denominators: a row of
+    ints with the same rank, echelon form, kernel and span as the row."""
+    den = math.lcm(*[Fraction(x).denominator for x in vec])
+    return [int(x * den) for x in vec]
+
+
 def qmat(rows):
-    return Mat(QQ, [[QQ.of(x) for x in r] for r in rows], len(rows[0]))
-
-
-def _content_free(row):
-    g = math.gcd(*row)
-    return [x // g for x in row] if g > 1 else row
-
-
-class _FractionTracker:
-    """The characteristic-0 ``TrackingRowBasis.add`` with ``Fraction``
-    expressions, kept as the reference for the fraction-free one: integer
-    rows, content stripped after each step, and each row's expression
-    divided by the content removed from the row."""
-
-    def __init__(self):
-        self.rows = []
-
-    def add(self, vec, tag):
-        den = math.lcm(*(Fraction(x).denominator for x in vec))
-        row = _content_free([int(x * den) for x in vec])
-        scale = Fraction(1)
-        for x, y in zip(row, vec):
-            if x:
-                scale = Fraction(x) / Fraction(y)
-                break
-        expr = {tag: scale}  # row == scale * vec
-        for col, stored, sexpr in self.rows:
-            f = row[col]
-            if f:
-                piv = stored[col]
-                new_row = [piv * a - f * b for a, b in zip(row, stored)]
-                stripped = _content_free(new_row)
-                factor = 1
-                for a, b in zip(new_row, stripped):
-                    if b:
-                        factor = a // b
-                        break
-                row = stripped
-                expr = {
-                    t: (piv * expr.get(t, Fraction(0)) - f * sexpr.get(t, Fraction(0)))
-                    * Fraction(1, factor)
-                    for t in set(expr) | set(sexpr)
-                }
-                expr = {t: c for t, c in expr.items() if c}
-        lead = next((i for i, x in enumerate(row) if x), None)
-        if lead is None:
-            return expr
-        self.rows.append((lead, row, expr))
-        self.rows.sort(key=lambda item: item[0])
-        return None
+    return Mat(QQ, [integer_row(r) for r in rows], len(rows[0]))
 
 
 _qq_entries = st.one_of(
@@ -90,7 +49,8 @@ _qq_entries = st.one_of(
 def _qq_sequences(draw):
     """A width and a list of QQ vectors of that width: random rows with
     Fraction and int entries, zero vectors, rows with a zero first entry,
-    and combinations of earlier rows (forced dependencies)."""
+    and combinations of earlier rows (forced dependencies), each scaled to
+    an integer row."""
     width = draw(st.integers(min_value=1, max_value=5))
     vecs = []
     for _ in range(draw(st.integers(min_value=1, max_value=8))):
@@ -109,7 +69,7 @@ def _qq_sequences(draw):
             if kind == "leading zero":
                 vec[0] = 0
         vecs.append(vec)
-    return width, vecs
+    return width, [integer_row(vec) for vec in vecs]
 
 
 def _reference_row_reduce(m):
@@ -150,9 +110,10 @@ def _reference_kernel(field, ncols, rows, pivots):
 
 @st.composite
 def _matrices(draw, fields=(QQ, GF2, GF7, GF_M61)):
-    """A matrix over QQ (Fraction and int entries) or GF(2), GF(7),
-    GF(2^61 - 1) (reduced residues): random rows, zero rows, repeated rows
-    and combinations of earlier rows, in tall, wide and empty-row shapes."""
+    """A matrix over QQ (rows of Fraction and int entries, each scaled to
+    an integer row) or GF(2), GF(7), GF(2^61 - 1) (reduced residues):
+    random rows, zero rows, repeated rows and combinations of earlier rows,
+    in tall, wide and empty-row shapes."""
     field = draw(st.sampled_from(fields))
     p = field.characteristic
     if p:
@@ -179,7 +140,7 @@ def _matrices(draw, fields=(QQ, GF2, GF7, GF_M61)):
         else:
             row = draw(st.lists(entries, min_size=ncols, max_size=ncols))
         rows.append(row)
-    return Mat(field, rows, ncols)
+    return Mat(field, rows if p else [integer_row(r) for r in rows], ncols)
 
 
 def _assert_scaled_reference(field, kernel, reference):
@@ -279,7 +240,7 @@ class TestRowReduce:
     def test_idempotent(self):
         m = qmat([[2, 4, 1], [1, 2, 3], [0, 1, 1]])
         rref, pivots = row_reduce(*m)
-        again, pivots2 = row_reduce(m.field, rref, m.ncols)
+        again, pivots2 = row_reduce(m.field, [integer_row(r) for r in rref], m.ncols)
         assert again == rref
         assert pivots == pivots2
 
@@ -305,7 +266,7 @@ class TestKernel:
         assert basis == [{0: 1, 1: 1, 2: 1}]
 
     def test_zero_row(self):
-        basis = _integer_kernel(QQ, [[Fraction(0), Fraction(0)]], 2)
+        basis = _integer_kernel(QQ, [[0, 0]], 2)
         assert len(basis) == 2
 
     @settings(max_examples=60, deadline=None)
@@ -338,7 +299,7 @@ class TestKernel:
 @st.composite
 def _kernel_cases(draw):
     """A QQ or GF(7) matrix from ``_matrices``, or one of the edge shapes:
-    no rows, no columns, wide, a zero column."""
+    no rows, no columns, wide, a zero column; QQ rows are integer rows."""
     kind = draw(st.sampled_from(["random", "no rows", "no columns", "wide", "zero column"]))
     if kind == "random":
         return draw(_matrices(fields=(QQ, GF7)))
@@ -356,7 +317,7 @@ def _kernel_cases(draw):
         zero = draw(st.integers(0, ncols - 1))
         for row in rows:
             row[zero] = 0
-    return Mat(field, rows, ncols)
+    return Mat(field, rows if p else [integer_row(r) for r in rows], ncols)
 
 
 class TestIntegerKernel:
@@ -413,26 +374,25 @@ class TestRowBasis:
     @pytest.mark.parametrize("field", [QQ, GF7])
     def test_incremental_rank(self, field):
         rb = RowBasis(field)
-        assert rb.add([field.of(1), field.of(2), field.of(3)])
-        assert not rb.add([field.of(2), field.of(4), field.of(6)])
-        assert rb.add([field.of(0), field.of(1), field.of(1)])
+        assert rb.add([1, 2, 3])
+        assert not rb.add([2, 4, 6])
+        assert rb.add([0, 1, 1])
         assert rb.rank == 2
-        assert not rb.add([field.of(1), field.of(3), field.of(4)])
+        assert not rb.add([1, 3, 4])
 
-    def test_gfp_rejects_non_integral_entries(self):
-        # 1/2 is 4 in GF(7): truncating it to 0 would drop the row
+    def test_rejects_non_integral_entries(self):
+        # rows are rows of ints in every field: 1/2 is 4 in GF(7), and
+        # truncating it to 0 would drop the row; in QQ a rational row goes
+        # in scaled by the lcm of its denominators
         half = [Fraction(1, 2)]
-        with pytest.raises(TypeError):
-            rank(GF7, [half], 1)
-        with pytest.raises(TypeError):
-            RowBasis(GF7).add(half)
-        with pytest.raises(TypeError):
-            TrackingRowBasis(GF7).add(half, "a")
-
-    def test_fraction_input_char0(self):
-        rb = RowBasis(QQ)
-        assert rb.add([Fraction(1, 2), Fraction(1, 3)])
-        assert not rb.add([Fraction(3, 2), Fraction(1)])
+        for field in (QQ, GF7):
+            for func in (rank, row_reduce, _integer_kernel):
+                with pytest.raises(TypeError):
+                    func(field, [half], 1)
+            with pytest.raises(TypeError):
+                RowBasis(field).add(half)
+            with pytest.raises(TypeError):
+                TrackingRowBasis(field).add(half, "a")
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -458,9 +418,9 @@ class TestTrackingRowBasis:
             "b": [0, 1, 1],
             "c": [2, 5, 1],  # = 2a + b
         }
-        assert trb.add([field.of(x) for x in rows["a"]], "a") is None
-        assert trb.add([field.of(x) for x in rows["b"]], "b") is None
-        combo = trb.add([field.of(x) for x in rows["c"]], "c")
+        assert trb.add(rows["a"], "a") is None
+        assert trb.add(rows["b"], "b") is None
+        combo = trb.add(rows["c"], "c")
         assert combo is not None and combo.get("c")
         # the reported combination really sums to zero
         for col in range(3):
@@ -480,7 +440,7 @@ class TestTrackingRowBasis:
     def test_combinations_vanish(self, rows):
         trb = TrackingRowBasis(QQ)
         for tag, row in enumerate(rows):
-            combo = trb.add([Fraction(x) for x in row], tag)
+            combo = trb.add(row, tag)
             if combo is not None:
                 assert combo[tag] != 0
                 for col in range(3):
@@ -510,7 +470,7 @@ class TestTrackingRowBasis:
     @given(_qq_sequences())
     def test_matches_fraction_reference(self, case):
         _, vecs = case
-        trb, reference = TrackingRowBasis(QQ), _FractionTracker()
+        trb, reference = TrackingRowBasis(QQ), FieldTracker(QQ)
         for tag, vec in enumerate(vecs):
             combo = trb.add(vec, tag)
             assert combo == reference.add(vec, tag)
@@ -522,16 +482,34 @@ class TestTrackingRowBasis:
         trb = TrackingRowBasis(QQ)
         assert trb.add([0, 0], "z") == {"z": Fraction(1)}
         assert trb.add([2, 4], "a") is None
-        combo = trb.add([Fraction(1, 3), Fraction(2, 3)], "b")
-        assert combo == {"a": Fraction(-1, 2), "b": Fraction(3)}  # the scales of both rows
+        combo = trb.add([1, 2], "b")
+        assert combo == {"a": Fraction(-1, 2), "b": Fraction(1)}  # 1 / the content of each row
         assert all(type(c) is Fraction for c in combo.values())
+
+    def test_content_stripping_step_is_pinned(self):
+        # QQ: a = [2, 1] is stored as it is, with {a: 1}.  b = [4, 4] enters
+        # as [1, 1] with {b: 1/4}; its step 2 [1, 1] - 1 [2, 1] = [0, 1] has
+        # content 1, so b is stored with {b: 1/2, a: -1}.  c = [6, 5] steps
+        # to 2 c - 6 a = [0, 4], content 4, so {c: 1/2, a: -3/2}, then to 0
+        # against b.  Mod 7 every stored row is normalized at its pivot.
+        trb = TrackingRowBasis(QQ)
+        assert trb.add([2, 1], "a") is None
+        assert trb.add([4, 4], "b") is None
+        assert trb._rows[1][2] == {"b": Fraction(1, 2), "a": Fraction(-1)}
+        assert trb.add([6, 5], "c") == {
+            "c": Fraction(1, 2), "a": Fraction(-1, 2), "b": Fraction(-1, 2)
+        }
+        gfp = TrackingRowBasis(GF7)
+        assert gfp.add([2, 1], "a") is None and gfp.add([4, 4], "b") is None
+        assert gfp.add([6, 5], "c") == {"c": 1, "a": 6, "b": 6}
 
 
 @st.composite
 def _probe_cases(draw):
     """A field, a width and a sequence of (probe, vec): adds of random
     vectors, interleaved with probes, which are combinations of the vectors
-    added before them (the zero vector before any)."""
+    added before them (the zero vector before any); QQ vectors are scaled to
+    integer rows."""
     field = draw(st.sampled_from([QQ, GF7, GF_M61]))
     p = field.characteristic
     if p:
@@ -551,7 +529,7 @@ def _probe_cases(draw):
             vec = draw(st.lists(entries, min_size=width, max_size=width))
             added.append(vec)
             steps.append((False, vec))
-    return field, width, steps
+    return field, width, [(probe, vec if p else integer_row(vec)) for probe, vec in steps]
 
 
 class TestProbes:
@@ -565,7 +543,7 @@ class TestProbes:
         field, width, steps = case
         p = field.characteristic
         trb, unprobed = TrackingRowBasis(field), TrackingRowBasis(field)
-        reference = _FractionTracker()
+        reference = FieldTracker(field)
         vecs, kept = {}, []
         for i, (probe, vec) in enumerate(steps):
             tag = None if probe else i
@@ -580,9 +558,8 @@ class TestProbes:
                 assert combo == unprobed.add(vec, tag)
                 if combo is None:
                     kept.append(tag)
-            if not p:
-                assert combo == reference.add(vec, tag)
-            elif combo is not None:
+            assert combo == reference.add(vec, tag)
+            if p and combo is not None:
                 assert combo[tag] == 1
                 assert set(combo) - {tag} <= set(kept)
                 assert all(0 < c < p for c in combo.values())
@@ -594,24 +571,14 @@ class TestProbes:
 
 class TestIntegerRows:
     """Characteristic-0 elimination takes an integer row as it is.  The same
-    row scaled by a positive Fraction gives the same rank and add verdicts,
+    row scaled by a positive integer gives the same rank and add verdicts,
     and a tracked combination differs only by the scale on each tag."""
 
     @settings(max_examples=200, deadline=None)
     @given(case=_qq_sequences(), data=st.data())
     def test_scaled_rows_agree(self, case, data):
-        width, vecs = case
-        rows = []
-        for vec in vecs:
-            den = math.lcm(*[Fraction(x).denominator for x in vec])
-            rows.append([int(x * den) for x in vec])
-        scales = data.draw(
-            st.lists(
-                st.builds(Fraction, st.integers(1, 60), st.integers(1, 60)),
-                min_size=len(rows),
-                max_size=len(rows),
-            )
-        )
+        width, rows = case
+        scales = data.draw(st.lists(st.integers(1, 60), min_size=len(rows), max_size=len(rows)))
         scaled = [[x * q for x in row] for row, q in zip(rows, scales)]
         # a zero row is its own multiple, so its tag keeps the scale 1
         tag_scales = [q if any(row) else 1 for row, q in zip(rows, scales)]

@@ -8,6 +8,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
+from field_tracker import FieldTracker
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
@@ -104,9 +105,10 @@ def cleared(vec):
 
 def section_matrix(D, field, d):
     """The degree-d basis sections of D as (field, rows, ncols), the
-    arguments of rank."""
+    arguments of rank: each section (row, den) gives its integer row, which
+    spans what its field values row / den span."""
     real = _Realization(D, field)
-    rows = [field_values(field, s) for s in real.defect_sections(d, 0)]
+    rows = [row for row, _ in real.defect_sections(d, 0)]
     return field, rows, max(real.r(d) + 1, 0)
 
 
@@ -153,9 +155,7 @@ class TestSectionSpace:
             for d in (6, 20, 30, 36):
                 width, floors = real.r(d) + 1, floor_divisor(real.divisor, d)
                 span_rows = [
-                    field_values(
-                        field, real.render_exponents([c + b for c, b in zip(m.c, floors)], width)
-                    )
+                    real.render_exponents([c + b for c, b in zip(m.c, floors)], width)[0]
                     for m in monomial_spanning_set(D235, d)
                 ]
                 if not span_rows:
@@ -199,10 +199,6 @@ def padded_to(poly, width, field):
 def as_mask(subset):
     """The bitmask of a set of point indices, as defect_sections takes it."""
     return sum(1 << i for i in subset)
-
-
-def span_rank(field, rows, width):
-    return rank(field, [[field.of(x) for x in r] for r in rows], width)
 
 
 _RENDER_POINTS = st.one_of(
@@ -566,16 +562,16 @@ def monomials_of_degree(weights, d):
 
 
 def reference_leading_terms(D, field, gens, up_to):
-    """Every monomial of every degree through a RowBasis in word order; the
-    hits filtered to the divisibility-minimal ones."""
+    """Every monomial of every degree through a FieldTracker in word order;
+    the hits filtered to the divisibility-minimal ones."""
     real = _Realization(D, field)
     ev = _MonomialEvaluator(real, gens)
     weights = [g.degree for g in gens]
     hits = []
     for d in range(2, up_to + 1):
-        span = RowBasis(field)
+        span = FieldTracker(field)
         for e in monomials_of_degree(weights, d):
-            if not span.add(field_values(field, ev.section(e))):
+            if span.add(field_values(field, ev.section(e)), e) is not None:
                 hits.append(e)
     minimal = [
         e
@@ -587,28 +583,33 @@ def reference_leading_terms(D, field, gens, up_to):
 
 def reference_relations(D, field, gens, up_to):
     """Full elimination: every monomial of every degree through one
-    TrackingRowBasis in word order, each kernel vector kept, and graded
-    Nakayama against the x_k shifts of the full lower-degree kernels; each
-    relation scaled to coefficient 1 at its word-largest term."""
+    FieldTracker in word order, each kernel vector kept, and graded
+    Nakayama, through another, against the x_k shifts of the full
+    lower-degree kernels; each relation scaled to coefficient 1 at its
+    word-largest term.  No elimination code of the engine runs here."""
     real = _Realization(D, field)
     ev = _MonomialEvaluator(real, gens)
     weights = [g.degree for g in gens]
     kernels = {}
     minimal = []
     for d in range(2, up_to + 1):
-        tracker = TrackingRowBasis(field)
+        tracker = FieldTracker(field)
+        monomials = monomials_of_degree(weights, d)
         found = []
-        for e in monomials_of_degree(weights, d):
+        for e in monomials:
             combo = tracker.add(field_values(field, ev.section(e)), e)
             if combo is not None:
                 found.append(combo)
         kernels[d] = found
-        nakayama = SparseRowBasis(field)
-        for k, w in enumerate(weights):
-            for vec in kernels.get(d - w, []):
-                nakayama.add({e[:k] + (e[k] + 1,) + e[k + 1 :]: c for e, c in vec.items()})
-        for vec in found:
-            if nakayama.add(vec):
+        shifts = [
+            {e[:k] + (e[k] + 1,) + e[k + 1 :]: c for e, c in vec.items()}
+            for k, w in enumerate(weights)
+            for vec in kernels.get(d - w, [])
+        ]
+        nakayama = FieldTracker(field)
+        for i, vec in enumerate(shifts + found):
+            independent = nakayama.add([vec.get(e, 0) for e in monomials], i) is None
+            if independent and i >= len(shifts):
                 terms = sorted(vec.items(), key=lambda t: word_key(t[0]))
                 inv = field.inv(terms[-1][1])
                 minimal.append(RelationPoly(d, tuple((e, field.mul(c, inv)) for e, c in terms)))
@@ -955,7 +956,7 @@ class TestGroebner:
             rows = []
             seen_rank = 0
             for e in exps:
-                rows.append(field_values(QQ, ev.section(e)))
+                rows.append(ev.section(e)[0])
                 new_rank = len(row_reduce(QQ, rows, real.r(d) + 1)[1])
                 if new_rank == seen_rank:
                     brute_hits.append(e)
@@ -1147,14 +1148,14 @@ class TestOracle:
         for c in range(1, d // 2 + 1):
             for mu, u in zip(monomial_basis(real.divisor, c), real.defect_sections(c, 0)):
                 for mv, v in zip(monomial_basis(real.divisor, d - c), real.defect_sections(d - c, 0)):
-                    row = field_values(field, real.multiply(c, u, d - c, v))
+                    row = real.multiply(c, u, d - c, v)[0]
                     every.append(row)
                     distinct.setdefault(tuple(x + y for x, y in zip(mu.c, mv.c)), row)
         assert len(every) == sum(
             real.dim(c) * real.dim(d - c) for c in range(1, d // 2 + 1)
         )
-        pregenerated = span_rank(field, every, width)
-        assert span_rank(field, list(distinct.values()), width) == pregenerated
+        pregenerated = rank(field, every, width)
+        assert rank(field, list(distinct.values()), width) == pregenerated
         # the oracle's reading: the monomials in the generators below d,
         # rendered by naive products, span the same
         gens = [(g.degree, real.render_monomial(g.monomial))
@@ -1165,8 +1166,8 @@ class TestOracle:
             for word in itertools.combinations_with_replacement(gens, length)
             if sum(w for w, _ in word) == d
         ]
-        rows = [field_values(field, s) for s in monomials]
-        assert span_rank(field, rows, width) == pregenerated
+        rows = [row for row, _ in monomials]
+        assert rank(field, rows, width) == pregenerated
 
     @pytest.mark.parametrize("field", [QQ, GF7, GFBIG], ids=str)
     @pytest.mark.parametrize(
