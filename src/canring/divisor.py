@@ -38,6 +38,10 @@ class PointP1:
         denominator p divides."""
         return self.value is None or (p > 0 and self.value.denominator % p == 0)
 
+    def __hash__(self) -> int:  # of (num, den): a C tuple hash, not Fraction.__hash__
+        v = self.value
+        return hash(None if v is None else (v.numerator, v.denominator))
+
     def __str__(self) -> str:
         return "inf" if self.value is None else format_fraction(self.value)
 

@@ -124,13 +124,15 @@ Section = tuple[list[int], int]  # (row, den), see the module docstring
 
 
 class _FloorTable:
-    """The per-degree state of a realization (_Realization)."""
+    """The per-degree state of a realization (_Realization): it reads only
+    the padded coefficients, so a scan grows one for all its configurations
+    and reads the degrees its generator stage eliminates off it once per
+    window (_pending)."""
 
     def __init__(self, alphas: tuple[Fraction, ...]):
         self.alphas, self.ell = alphas, math.lcm(*[a.denominator for a in alphas])
         self.r: list[int] = []  # r(c) by c, grown by _Realization.packed
         self.keys: list[int] = []  # K(c) by c, likewise
-        self.certificates: dict[int, Optional[set[int]]] = {}  # of _pregen_subsets, by d
 
 
 class _Realization:
@@ -138,12 +140,12 @@ class _Realization:
     a graded piece is rendered by render_exponents.  Its only per-degree
     state is its floor table, which reads only the padded coefficients and
     may so be shared: the lists r(c) = deg floor(cD) and K(c) = sum_i
-    floor(c alpha_i) 2^i for 0 <= c <= d grown by packed(d), and the
-    certificates of _pregen_subsets.  As floor(x + y) - floor(x) -
-    floor(y) is 0 or 1, bit i of K(d) - K(c) - K(d - c) is set exactly when
-    floor(c alpha_i) + floor((d - c) alpha_i) < floor(d alpha_i): that mask
-    is the defect subset of the split (c, d - c), the points i where
-    S_c S_{d-c} = u^d H^0(floor(cD) + floor((d-c)D)) vanishes in degree d.
+    floor(c alpha_i) 2^i for 0 <= c <= d grown by packed(d).  As floor(x +
+    y) - floor(x) - floor(y) is 0 or 1, bit i of K(d) - K(c) - K(d - c) is
+    set exactly when floor(c alpha_i) + floor((d - c) alpha_i) < floor(d
+    alpha_i): that mask is the defect subset of the split (c, d - c), the
+    points i where S_c S_{d-c} = u^d H^0(floor(cD) + floor((d-c)D))
+    vanishes in degree d.
     The table has period ell = lcm of the denominators: ell D is integral,
     so floor((c + ell)D) = floor(cD) + ell D, r(c + ell) = r(c) + r(ell)
     and K(c + ell) = K(c) + K(ell), and packed grows it by this identity
@@ -161,9 +163,9 @@ class _Realization:
         for pt in self.divisor.points:
             if pt.reduces_to_infinity(p):
                 key, q, a = None, 0, 0  # infinite, or reduces to the infinite point
-            else:
-                key = field.of(pt.value)
-                q, a = (1, key) if p else (key.denominator, key.numerator)
+            else:  # the point a/q, in GF(p) reduced to a/1 (p does not divide q)
+                a, q = pt.value.numerator, pt.value.denominator
+                key = a, q = (a * pow(q, -1, p) % p, 1) if p else (a, q)
             if key in seen:
                 raise PointCollisionError(
                     f"points of {self.divisor} collide in {field} (at {pt})"
@@ -277,28 +279,21 @@ def _pregen_subsets(real: _Realization, d: int) -> Optional[set[int]]:
     Returns None when the degree is certified fully pregenerated: the
     minimal subsets have empty intersection (some split with no defect
     included) and cover at most dim S_d points.  Else returns the
-    inclusion-minimal subsets, whose defect sections span sum_A V_A; the
-    floor table keeps the value by degree.
+    inclusion-minimal subsets, whose defect sections span sum_A V_A.
     """
-    certificates = real.table.certificates
-    if d in certificates:
-        return certificates[d]
     rs, keys = real.packed(d)
     masks: set[int] = set()
     for c in range(1, d // 2 + 1):
         if rs[c] >= 0 and rs[d - c] >= 0:
             A = keys[d] - keys[c] - keys[d - c]
             if not A:
-                certificates[d] = None  # a split with no defect
-                return None
+                return None  # a split with no defect
             masks.add(A)
     minimal = {A for A in masks if not any(B & A == B != A for B in masks)}
     cover, common = 0, -1  # union and intersection of the minimal subsets
     for A in minimal:
         cover, common = cover | A, common & A
-    certified = cover.bit_count() <= rs[d] + 1 and not common
-    certificates[d] = None if certified else minimal
-    return certificates[d]
+    return None if cover.bit_count() <= rs[d] + 1 and not common else minimal
 
 
 def _default_windows(D: QDivisor) -> tuple[int, int]:
@@ -342,26 +337,37 @@ def minimal_generators(
     """
     if D.degree < 0:
         return []
-    return _generators(_Realization(D, field), _default_windows(D)[0] if up_to is None else up_to)
+    real = _Realization(D, field)
+    return _generators(real, _pending(real, _default_windows(D)[0] if up_to is None else up_to))
 
 
-def _generators(real: _Realization, up_to: int) -> list[GeneratorRecord]:
-    """The body of minimal_generators, on a realization and a window."""
-    found: list[GeneratorRecord] = []
+def _pending(real: _Realization, up_to: int) -> list[tuple[int, int, set[int], list[GradedMonomial]]]:
+    """The degrees 1 <= d < up_to that the generator stage eliminates, those
+    with dim S_d > 0 that _pregen_subsets does not certify, each with dim
+    S_d, its minimal defect subsets and its monomial_basis.  It reads only
+    the floor table and the coefficients, so a scan builds it once per
+    window for all its configurations."""
+    pending = []
     for d in range(1, up_to):
-        dim = real.dim(d)
-        if dim == 0:
-            continue
-        subsets = _pregen_subsets(real, d)
-        if subsets is None:
-            continue  # certified: the products fill the graded piece
+        subsets = _pregen_subsets(real, d) if real.dim(d) else None
+        if subsets is not None:
+            pending.append((d, real.dim(d), subsets, monomial_basis(real.divisor, d)))
+    return pending
+
+
+def _generators(real: _Realization, pending: list[tuple]) -> list[GeneratorRecord]:
+    """The body of minimal_generators, on a realization and the degrees
+    _pending lists for its window: only the renders and eliminations, which
+    read the points."""
+    found: list[GeneratorRecord] = []
+    for d, dim, subsets, basis in pending:
         span = RowBasis(real.field)
         for A in subsets:
             for row, _ in real.defect_sections(d, A):
                 span.add(row)
         if span.rank == dim:
             continue
-        basis, sections = monomial_basis(real.divisor, d), real.defect_sections(d, 0)
+        sections = real.defect_sections(d, 0)
         # basis element k vanishes to order k at the first point
         for k in reversed(range(dim)):
             if span.add(sections[k][0]):
@@ -699,15 +705,18 @@ def generic_configs(
 ) -> list[tuple[tuple[PointP1, ...], int]]:
     """Deterministic pseudo-random point configurations: distinct rationals
     with numerator in -99..99 and denominator in 1..20, re-drawn on
-    collision, crossed with the requested characteristics."""
+    collision, crossed with the requested characteristics.  Raises
+    CanringError when n exceeds the number of distinct draws."""
+    numerators, denominators = range(-99, 100), range(1, 21)
+    distinct = sum(math.gcd(a, q) == 1 for a in numerators for q in denominators)  # a/q in lowest terms
+    if count and n > distinct:
+        raise CanringError(f"a generic configuration has at most {distinct} distinct points, not {n}")
     rng = random.Random(seed)
     configs = []
     for _ in range(count):
-        pts: list[Fraction] = []
+        pts: dict[Fraction, None] = {}  # the distinct draws, in order
         while len(pts) < n:
-            cand = Fraction(rng.randint(-99, 99), rng.randint(1, 20))
-            if cand not in pts:
-                pts.append(cand)
+            pts[Fraction(rng.choice(numerators), rng.choice(denominators))] = None
         tup = tuple(PointP1.of(p) for p in pts)
         for char in chars:
             configs.append((tup, char))
@@ -731,9 +740,12 @@ def stability_scan(
     Configurations whose points collide after reduction are skipped and
     recorded; raises CanringError when no configuration is left to judge,
     or when every graded piece of the window is zero, so that no generator
-    could be compared.  dim S_d, the defect subsets and the certificates
-    read only the coefficients, so all configurations share one table; each
-    runs all its stages on one realization and one standard pass.
+    could be compared.  dim S_d, the defect subsets and the monomial basis
+    read only the coefficients, so all configurations share one floor table
+    and one list of the degrees to eliminate (_pending), built by the first
+    realization; each configuration then only renders and eliminates those
+    degrees, and runs all its stages on one realization and one standard
+    pass.
     """
     coefficients = QDivisor.of(range(len(alphas)), alphas)
     windows = _default_windows(coefficients)  # they read only the coefficients
@@ -744,7 +756,7 @@ def stability_scan(
         raise CanringError(
             f"no degree 1 <= d < {window} has a nonzero graded piece: the scan compares no generator"
         )
-    table = _FloorTable(padded(coefficients).alphas)
+    table, pending = _FloorTable(padded(coefficients).alphas), None
     runs = []
     for points, char in configs:
         field = FieldSpec(char)
@@ -758,7 +770,8 @@ def stability_scan(
         try:
             D = QDivisor(points, coefficients.alphas)  # the table's Fractions: a cheap fit check
             real = _Realization(D, field, table)
-            gens = _generators(real, window)
+            pending = _pending(real, window) if pending is None else pending
+            gens = _generators(real, pending)
             entry["generators"] = [g.to_json() for g in gens]
             passed = list(_standard_pass(real, gens, truncation)) if with_groebner or with_relations else []
             if with_groebner:

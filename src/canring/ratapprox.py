@@ -31,13 +31,11 @@ def parse_fraction(text: str) -> Fraction:
 
 
 def format_fraction(value: Rational) -> str:
-    """The text num/den, or num when the denominator is 1; a Fraction or an
-    int is read as it is, any other value through Fraction."""
-    if not isinstance(value, (Fraction, int)):
+    """The text num/den, or num when the denominator is 1: str of a Fraction
+    or an int (not a bool), and of any other value through Fraction."""
+    if type(value) not in (Fraction, int):
         value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    return str(value)
 
 
 @dataclass(frozen=True)

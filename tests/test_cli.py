@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -302,6 +303,21 @@ class TestScan:
         )
         assert (code, out) == (1, "")
         assert err == "error: scan evaluated none of its 0 configurations\n"
+
+    def test_more_points_than_distinct_draws_is_an_error(self, capsys):
+        # the generic draws take 2483 distinct values, so 2500 points are never
+        # drawn; the child's timeout guards against a draw loop that never ends
+        n = 2500
+        argv = ["scan", "--alphas=" + ",".join(["1/2"] * n), "--points", ",".join(map(str, range(n)))]
+        proc = subprocess.run(
+            [sys.executable, "-m", "canring", *argv],
+            capture_output=True, text=True, env=_child_env(), timeout=20,
+        )
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == "error: a generic configuration has at most 2483 distinct points, not 2500\n"
+        start = time.perf_counter()
+        assert run(capsys, *argv) == (1, "", proc.stderr)
+        assert time.perf_counter() - start < 1
 
     def test_planted_unstable_config_exit_two(self, capsys):
         # chords divisor with its concurrent configuration planted via --points

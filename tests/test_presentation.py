@@ -1420,6 +1420,33 @@ class TestSharedFloorTable:
         ]
         assert (calls["realization"], calls["_standard_pass"], calls["_relation"]) == (100, 37, 0)
 
+    def test_coefficient_only_work_once_per_scan(self):
+        """The scan-n5 coefficients (window 45) leave degrees 4, 5, 6, 7 and
+        9 uncertified: a scan takes their monomial basis once, whether it has
+        1 or 16 configurations, and every configuration renders and
+        rank-checks the monomial basis of each of them."""
+        alphas = [F("-2/3"), F("1/2"), F("3/5"), F("1/4"), F("-1/6")]
+        pending = [4, 5, 6, 7, 9]
+        render = _Realization.defect_sections
+        for count in (1, 16):
+            bases, renders = [], collections.Counter()
+
+            def counted_basis(D, d):
+                bases.append(d)
+                return monomial_basis(D, d)
+
+            def counted_render(real, d, mask):
+                renders[d] += not mask
+                return render(real, d, mask)
+
+            with mock.patch.object(presentation, "monomial_basis", counted_basis), mock.patch.object(
+                _Realization, "defect_sections", counted_render
+            ):
+                report = stability_scan(alphas, generic_configs(5, count, [0], 1), up_to=45)
+            assert [run["skipped"] for run in report["runs"]] == [False] * count
+            assert bases == pending
+            assert renders == {d: count for d in pending}
+
     def test_table_must_fit_the_padded_coefficients(self):
         table = _FloorTable(padded(D235).alphas)
         assert _Realization(QDivisor.of([0, 1, 2], D235.alphas), GF7, table).table is table
@@ -1427,6 +1454,41 @@ class TestSharedFloorTable:
         for D in (D2PT, QDivisor.of(["inf", 0, 1], [F("-1/2"), F("1/3"), F("1/4")])):
             with pytest.raises(AssertionError, match="does not fit"):
                 _Realization(D, QQ, table)
+
+
+@st.composite
+def _collision_cases(draw):
+    """A characteristic and one to six distinct points: inf, values whose
+    denominator p may divide, and values that differ by a multiple of
+    2^61 - 1."""
+    p = draw(st.sampled_from([0, 2, 3, 5, 7, 2**61 - 1]))
+    numerator = st.integers(-12, 12) | st.integers(-12, 12).map(lambda a: a + 2**61 - 1)
+    value = st.builds(Fraction, numerator, st.sampled_from([1, 2, 3, 4, 5, 6, 7, 9, 2**61 - 1]))
+    return p, draw(st.lists(st.none() | value, min_size=1, max_size=6, unique=True))
+
+
+class TestCollisionKeys:
+    @settings(max_examples=300, deadline=None)
+    @given(_collision_cases())
+    def test_collision_exactly_when_two_points_share_their_image(self, case):
+        # a collision is two points with one FieldSpec.of image, or both
+        # reducing to infinity; the message names the first repeated point
+        p, values = case
+        field = FieldSpec(p)
+        D = padded(QDivisor.of(values, [F("1/2")] * len(values)), p)
+        seen, message = set(), None
+        for pt in D.points:
+            key = None if pt.reduces_to_infinity(p) else field.of(pt.value)
+            if key in seen:
+                message = f"points of {D} collide in {field} (at {pt})"
+                break
+            seen.add(key)
+        if message is None:
+            _Realization(D, field)
+        else:
+            with pytest.raises(PointCollisionError) as info:
+                _Realization(D, field)
+            assert str(info.value) == message
 
 
 class TestStabilityScan:
