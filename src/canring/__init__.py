@@ -35,7 +35,6 @@ from .presentation import (
     generic_configs,
     groebner_leading_terms,
     minimal_generators,
-    minimal_relation_degrees,
     relation_ideal,
     stability_scan,
     xgen_threshold,

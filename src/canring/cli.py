@@ -25,13 +25,13 @@ from .divisor import QDivisor, divisor_from_json, divisor_to_json, graded_dim
 from .errors import CanringError, TrivialRingError
 from .exactla import FieldSpec
 from .presentation import (
-    _default_windows,
+    _groebner,
+    _presentation,
+    _relations,
+    _window,
     brute_force_oracle,
     generic_configs,
-    groebner_leading_terms,
     minimal_generators,
-    minimal_relation_degrees,
-    relation_ideal,
     stability_scan,
 )
 from .ratapprox import format_fraction, parse_fraction
@@ -160,8 +160,8 @@ def cmd_gens(args) -> Outcome:
 
 def cmd_rels(args) -> Outcome:
     D, field = _load_divisor(args)
-    gens = minimal_generators(D, field, args.max_degree)
-    rels = relation_ideal(D, field, gens, args.truncation)
+    gens, passed, _ = _presentation(D, field, args.max_degree, args.truncation)
+    rels = _relations(field, gens, passed)
     report = {
         "command": "rels",
         "config": divisor_to_json(D, field.characteristic),
@@ -182,8 +182,8 @@ def cmd_rels(args) -> Outcome:
 
 def cmd_groebner(args) -> Outcome:
     D, field = _load_divisor(args)
-    gens = minimal_generators(D, field, args.max_degree)
-    gb = groebner_leading_terms(D, field, gens, args.truncation)
+    gens, passed, truncation = _presentation(D, field, args.max_degree, args.truncation)
+    gb = _groebner(passed, truncation)
     report = {
         "command": "groebner",
         "config": divisor_to_json(D, field.characteristic),
@@ -238,9 +238,8 @@ def cmd_oracle(args) -> Outcome:
     D, field = _load_divisor(args)
     window = args.max_degree
     if window is None:
-        # the relation bound, or ell + 1 in degree 0; at least 10 when
-        # deg D <= 0
-        window = _default_windows(D)[1]
+        # the relation window; at least 10 when deg D <= 0
+        window = _window(D, None, 1)
         if D.degree <= 0:
             window = max(window, 10)
     if window < 1:
@@ -248,10 +247,10 @@ def cmd_oracle(args) -> Outcome:
     # the oracle first: its size guard refuses before any engine work
     oracle = brute_force_oracle(D, field, window)
     # generators through the window, as the oracle picks them
-    gens = minimal_generators(D, field, min(window + 1, _default_windows(D)[0]))
+    gens, passed, _ = _presentation(D, field, min(window + 1, _window(D, None, 0)), window)
     engine = (
         sorted(g.degree for g in gens),
-        minimal_relation_degrees(D, field, gens, window),
+        sorted(r.degree for r in _relations(field, gens, passed)),
     )
     match = engine == oracle
     report = {

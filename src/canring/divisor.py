@@ -29,10 +29,6 @@ class PointP1:
             return PointP1(parse_fraction(value))
         return PointP1(Fraction(value))
 
-    @property
-    def is_infinity(self) -> bool:
-        return self.value is None
-
     def reduces_to_infinity(self, p: int) -> bool:
         """True at inf, and in characteristic p > 0 at a value whose
         denominator p divides."""

@@ -26,7 +26,8 @@ renders only the x_0-free standard monomials and the new leading terms:
 the multiples of the first generator x_0 fill a block x_0 S_{d - w_0} of
 known echelon form, which the other candidates are divided by.  Only a
 reader of relations forms them, each monic at its leading term.  A scan
-runs every stage of a configuration on one realization and one pass.
+configuration, like a CLI command (_presentation), runs every stage on one
+realization and one pass.
 """
 
 from __future__ import annotations
@@ -84,10 +85,6 @@ class RelationPoly:
 
     degree: int
     terms: tuple[tuple[tuple[int, ...], object], ...]
-
-    @property
-    def support(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(e for e, _ in self.terms)
 
     @property
     def support_size(self) -> int:
@@ -296,15 +293,15 @@ def _pregen_subsets(real: _Realization, d: int) -> Optional[set[int]]:
     return None if cover.bit_count() <= rs[d] + 1 and not common else minimal
 
 
-def _default_windows(D: QDivisor) -> tuple[int, int]:
-    """Default (generator, relation) windows: the certified bounds; past
-    ell in degree 0, where S_D = k[s] with s of degree ell."""
+def _window(D: QDivisor, given: Optional[int], stage: int) -> int:
+    """The given window, else the default of the stage (0: generators, 1:
+    relations), which reads only the coefficients: the certified bound;
+    past ell in degree 0, where S_D = k[s] with s of degree ell."""
+    if given is not None:
+        return given
     if D.degree > 0:
-        return degree_bounds(D)
-    if D.degree == 0:
-        ell = denominator_data(padded(D)).ell
-        return ell + 1, ell + 1
-    return 1, 1
+        return degree_bounds(D)[stage]
+    return denominator_data(padded(D)).ell + 1 if D.degree == 0 else 1
 
 
 def minimal_generators(
@@ -313,7 +310,7 @@ def minimal_generators(
     up_to: Optional[int] = None,
 ) -> list[GeneratorRecord]:
     """Minimal generators with degrees < up_to (default: the generator
-    window of _default_windows).
+    window of _window).
 
     Degree by degree, the pregenerated subspace sum_c S_c S_{d-c} is
     realized through the floor-sum identity S_c S_{d-c} =
@@ -338,7 +335,7 @@ def minimal_generators(
     if D.degree < 0:
         return []
     real = _Realization(D, field)
-    return _generators(real, _pending(real, _default_windows(D)[0] if up_to is None else up_to))
+    return _generators(real, _pending(real, _window(D, up_to, 0)))
 
 
 def _pending(real: _Realization, up_to: int) -> list[tuple[int, int, set[int], list[GradedMonomial]]]:
@@ -600,9 +597,7 @@ def relation_ideal(
     GenerationError if the generators fail the dimension (Hilbert series)
     check at any degree.
     """
-    if up_to is None:
-        up_to = _default_windows(D)[1]
-    return _relations(field, gens, _standard_pass(_Realization(D, field), gens, up_to))
+    return _relations(field, gens, _standard_pass(_Realization(D, field), gens, _window(D, up_to, 1)))
 
 
 def _relations(field: FieldSpec, gens: Sequence[GeneratorRecord], passed: Iterable) -> list[RelationPoly]:
@@ -633,15 +628,6 @@ def _relations(field: FieldSpec, gens: Sequence[GeneratorRecord], passed: Iterab
     return minimal
 
 
-def minimal_relation_degrees(
-    D: QDivisor,
-    field: FieldSpec,
-    gens: Sequence[GeneratorRecord],
-    up_to: Optional[int] = None,
-) -> list[int]:
-    return sorted(r.degree for r in relation_ideal(D, field, gens, up_to))
-
-
 def groebner_leading_terms(
     D: QDivisor,
     field: FieldSpec,
@@ -656,14 +642,31 @@ def groebner_leading_terms(
     never formed, so no elimination here is tracked.  The terms found are
     the divisibility-minimal ones up to the truncation degree.
     """
-    if up_to is None:
-        up_to = _default_windows(D)[1]
-    leading = [e for _, _, new in _standard_pass(_Realization(D, field), gens, up_to) for e, _ in new]
+    up_to = _window(D, up_to, 1)
+    return _groebner(_standard_pass(_Realization(D, field), gens, up_to), up_to)
+
+
+def _groebner(passed: Iterable, truncation: int) -> GroebnerReport:
+    """The body of groebner_leading_terms, over the items of a standard pass."""
+    leading = [e for _, _, new in passed for e, _ in new]
     return GroebnerReport(
         order="revlex (dictionary word order on generator monomials)",
         leading_terms=tuple(sorted(leading, key=_word)),
-        truncation_degree=up_to,
+        truncation_degree=truncation,
     )
+
+
+def _presentation(
+    D: QDivisor, field: FieldSpec, up_to: Optional[int], truncation: Optional[int]
+) -> tuple[list[GeneratorRecord], list, int]:
+    """The generators with degrees < up_to, the items of one standard pass
+    through the truncation, and the truncation, each window defaulting as in
+    _window: every stage on one realization, which _relations and _groebner
+    read.  In negative degree there is no generator and no generator window."""
+    real = _Realization(D, field)
+    gens = _generators(real, _pending(real, _window(D, up_to, 0))) if D.degree >= 0 else []
+    truncation = _window(D, truncation, 1)
+    return gens, list(_standard_pass(real, gens, truncation)), truncation
 
 
 def xgen_threshold(D: QDivisor) -> int:
@@ -748,9 +751,7 @@ def stability_scan(
     pass.
     """
     coefficients = QDivisor.of(range(len(alphas)), alphas)
-    windows = _default_windows(coefficients)  # they read only the coefficients
-    window = windows[0] if up_to is None else up_to
-    truncation = windows[1] if truncation is None else truncation
+    window, truncation = _window(coefficients, up_to, 0), _window(coefficients, truncation, 1)
     # S_d = 0 for all d >= 1 in negative degree; else S_ell != 0 ends any() by d = ell
     if coefficients.degree < 0 or not any(graded_dim(coefficients, d) for d in range(1, window)):
         raise CanringError(
@@ -775,8 +776,8 @@ def stability_scan(
             entry["generators"] = [g.to_json() for g in gens]
             passed = list(_standard_pass(real, gens, truncation)) if with_groebner or with_relations else []
             if with_groebner:
-                leading = [list(e) for _, _, new in passed for e, _ in new]
-                entry["groebner"] = {"truncation": truncation, "leading_terms": sorted(leading, key=_word)}
+                leading = _groebner(passed, truncation).leading_terms
+                entry["groebner"] = {"truncation": truncation, "leading_terms": [list(e) for e in leading]}
             if with_relations:
                 entry["relations"] = [r.summary() for r in _relations(field, gens, passed)]
             entry["skipped"] = False

@@ -56,12 +56,6 @@ class LatticeVec2:
         fr = Fraction(fr)
         return LatticeVec2(fr.denominator, fr.numerator)
 
-    @property
-    def slope(self) -> Fraction:
-        if self.d == 0:
-            raise CanringError("vertical lattice vector has no slope")
-        return Fraction(self.c, self.d)
-
     def __add__(self, other: "LatticeVec2") -> "LatticeVec2":
         return LatticeVec2(self.d + other.d, self.c + other.c)
 

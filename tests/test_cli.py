@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import canring
-from canring import cli
+from canring import cli, presentation
 from canring.cli import canonical_json, main
 from canring.divisor import divisor_to_json
 
@@ -395,7 +395,7 @@ class TestOracle:
         def engine(*args, **kwargs):
             raise AssertionError("the engine ran before the oracle's size guard")
 
-        monkeypatch.setattr(cli, "minimal_generators", engine)
+        monkeypatch.setattr(cli, "_presentation", engine)
         code, out, err = run(capsys, "oracle", "--alphas=1/2,1/3", "--max-degree", "800")
         assert (code, out) == (1, "")
         assert err == "error: graded pieces exceed dimension 40 at or below 800\n"
@@ -499,6 +499,54 @@ class TestWindows:
             assert oracle["engine"] == {"generators": [6, 10, 15], "relations": relations}
 
 
+_CHORDS_ARGS = ("--alphas=-1/2,-1/2,1/3,1/3,1/5,1/5", "--points", "0,1,2,3,4,9/5", "--truncation", "120")
+
+
+class TestOneRealizationPerCommand:
+    """Every stage of a command runs on one realization of the divisor in
+    its field; the oracle builds its own."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        built = []
+        init = presentation._Realization.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(presentation._Realization, "__init__", counted)
+        return built
+
+    @pytest.mark.parametrize(
+        "argv, count",
+        [
+            (("rels", *_CHORDS_ARGS), 1),
+            (("groebner", *_CHORDS_ARGS), 1),
+            (("oracle", "--alphas=-1/2,1/3,1/5", "--points", "inf,0,1"), 2),
+        ],
+        ids=["rels", "groebner", "oracle"],
+    )
+    def test_realizations(self, capsys, built, argv, count):
+        code, _, err = run(capsys, *argv, "--json")
+        assert (code, err) == (0, "")
+        assert len(built) == count
+
+    @pytest.mark.parametrize("command", ["rels", "groebner"])
+    def test_negative_degree_grows_no_generator_window(self, capsys, monkeypatch, built, command):
+        degrees = []
+        floors = presentation.floor_divisor
+
+        def counted(D, d):
+            degrees.append(d)
+            return floors(D, d)
+
+        monkeypatch.setattr(presentation, "floor_divisor", counted)
+        code, _, err = run(capsys, command, "--alphas=-1/2,1/4", "--max-degree", "100000", "--json")
+        assert (code, err) == (0, "")
+        assert (len(built), degrees) == (1, [0, 1])  # the default truncation is 1
+
+
 # every alpha tuple criterion 09 can draw: one to three coefficients a/b,
 # |a| <= 2 and 1 <= b <= 4, of total degree at most 1, at the points 0, 1, 2
 _CRITERION_09_VALUES = sorted({Fraction(a, b) for a in range(-2, 3) for b in range(1, 5)})
@@ -508,7 +556,6 @@ _CRITERION_09_DIVISORS = [
     for alphas in itertools.product(_CRITERION_09_VALUES, repeat=n)
     if sum(alphas) <= 1
 ]
-_CHORDS_ARGS = ("--alphas=-1/2,-1/2,1/3,1/3,1/5,1/5", "--points", "0,1,2,3,4,9/5", "--truncation", "120")
 
 
 def _criterion_09_window(D):

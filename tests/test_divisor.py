@@ -34,7 +34,7 @@ class TestModel:
             QDivisor.of([0, 0], [1, 1])
 
     def test_point_parsing(self):
-        assert PointP1.of("inf").is_infinity
+        assert PointP1.of("inf").value is None
         assert PointP1.of("-1/2").value == F("-1/2")
         assert str(PointP1.of(None)) == "inf"
 
@@ -52,15 +52,15 @@ class TestModel:
     def test_ghost_point_avoids_used_spots(self):
         D = QDivisor.of(["inf"], [2])
         assert padded(D).points[1] == PointP1.of(0)
-        assert padded(QDivisor.of([0], [2])).points[1].is_infinity
+        assert padded(QDivisor.of([0], [2])).points[1].value is None
 
     @pytest.mark.parametrize("point", ["1/3", "2/9", "-5/6"])
     def test_ghost_point_avoids_the_reduced_point(self, point):
         # the point reduces to inf in GF(3), so the ghost goes to 0 there
         D = QDivisor.of([F(point)], [2])
         assert padded(D, 3).points[1] == PointP1.of(0)
-        assert padded(D).points[1].is_infinity
-        assert padded(D, 5).points[1].is_infinity
+        assert padded(D).points[1].value is None
+        assert padded(D, 5).points[1].value is None
         assert padded(QDivisor.of(["inf"], [2]), 3).points[1] == PointP1.of(0)
 
 

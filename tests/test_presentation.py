@@ -47,7 +47,6 @@ from canring.presentation import (
     generic_configs,
     groebner_leading_terms,
     minimal_generators,
-    minimal_relation_degrees,
     relation_evaluates_to_zero,
     relation_ideal,
     stability_scan,
@@ -180,7 +179,7 @@ def reference_product(real, exponents, start=None):
     p = field.characteristic
     poly = list(start) if start is not None else [field.of(1)]
     for pt, g in zip(real.divisor.points, exponents):
-        if pt.is_infinity or (p and pt.value.denominator % p == 0):
+        if pt.value is None or (p and pt.value.denominator % p == 0):
             continue  # the point is infinite in this field
         a = field.of(pt.value)
         for _ in range(g):
@@ -707,7 +706,7 @@ class TestRelations:
         rels = relation_ideal(D235, QQ, gens)
         assert [r.degree for r in rels] == [30]
         rel = rels[0]
-        assert set(rel.support) == {(5, 0, 0), (0, 3, 0), (0, 0, 2)}
+        assert {e for e, _ in rel.terms} == {(5, 0, 0), (0, 3, 0), (0, 0, 2)}
         assert all(coeff != 0 for _, coeff in rel.terms)
         assert relation_evaluates_to_zero(D235, QQ, gens, rel)
 
@@ -716,7 +715,7 @@ class TestRelations:
         gens = minimal_generators(D235, field)
         rels = relation_ideal(D235, field, gens)
         assert [r.degree for r in rels] == [30]
-        assert set(rels[0].support) == {(5, 0, 0), (0, 3, 0), (0, 0, 2)}
+        assert {e for e, _ in rels[0].terms} == {(5, 0, 0), (0, 3, 0), (0, 0, 2)}
 
     @pytest.mark.parametrize("field", [QQ, GF7, GFBIG], ids=str)
     def test_substitution_forms_no_product(self, field, monkeypatch):
@@ -757,7 +756,7 @@ class TestRelations:
             D = QDivisor.of(["inf", 0], [alpha, beta])
             gens = minimal_generators(D, QQ)
             window = 2 * max((v.d for v in pres.generators), default=1)
-            got = minimal_relation_degrees(D, QQ, gens, up_to=window)
+            got = sorted(r.degree for r in relation_ideal(D, QQ, gens, up_to=window))
             assert got == expected, (alpha, beta)
 
     @pytest.mark.parametrize(
@@ -1087,7 +1086,7 @@ def _split_cases(draw):
 class TestOracle:
     def test_matches_engine_on_235(self):
         gens = minimal_generators(D235, QQ)
-        rels = minimal_relation_degrees(D235, QQ, gens, up_to=35)
+        rels = sorted(r.degree for r in relation_ideal(D235, QQ, gens, up_to=35))
         odeg, orel = brute_force_oracle(D235, QQ, 35)
         assert odeg == gen_degrees(gens)
         assert orel == rels
@@ -1095,7 +1094,7 @@ class TestOracle:
     def test_matches_engine_on_two_point(self):
         D = QDivisor.of(["inf", 0], [F("1/2"), F("1/2")])
         gens = minimal_generators(D, QQ)
-        rels = minimal_relation_degrees(D, QQ, gens, up_to=8)
+        rels = sorted(r.degree for r in relation_ideal(D, QQ, gens, up_to=8))
         odeg, orel = brute_force_oracle(D, QQ, 8)
         assert odeg == gen_degrees(gens)
         assert orel == rels
@@ -1200,7 +1199,7 @@ class TestOracle:
         degrees = ([1, 1, 1, 2, 5], [2, 3, 3])
         assert brute_force_oracle(D, field, 5) == degrees
         gens = minimal_generators(D, field, 6)
-        assert (gen_degrees(gens), minimal_relation_degrees(D, field, gens, 5)) == degrees
+        assert (gen_degrees(gens), sorted(r.degree for r in relation_ideal(D, field, gens, 5))) == degrees
 
     @pytest.mark.parametrize("field", [QQ, GFBIG], ids=str)
     @pytest.mark.parametrize(
@@ -1216,7 +1215,7 @@ class TestOracle:
     def test_heaviest_cases_match_the_engine(self, field, alphas, degrees):
         D = QDivisor.of([0, 1, 2], [F(a) for a in alphas])
         gens = minimal_generators(D, field, 16)
-        engine = (gen_degrees(gens), minimal_relation_degrees(D, field, gens, 15))
+        engine = (gen_degrees(gens), sorted(r.degree for r in relation_ideal(D, field, gens, 15)))
         assert brute_force_oracle(D, field, 15) == engine == degrees
 
     @pytest.mark.parametrize("point", [F("1/3"), F("2/9")], ids=str)

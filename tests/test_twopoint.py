@@ -134,7 +134,7 @@ class TestVerification:
             return
         p = two_point_presentation(alpha, beta)
         assert verify_presentation(p)
-        slopes = [v.slope for v in p.generators]
+        slopes = [Fraction(v.c, v.d) for v in p.generators]
         assert slopes == sorted(slopes)
         assert len(set(slopes)) == len(slopes)
         expected = (len(p.generators) - 1) * (len(p.generators) - 2) // 2
