@@ -18,7 +18,7 @@ from .errors import (
     TrivialRingError,
     UnsupportedDivisorError,
 )
-from .exactla import FieldSpec, row_reduce
+from .exactla import FieldSpec
 from .conelattice import (
     ConeModel,
     GradedMonomial,

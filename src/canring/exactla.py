@@ -5,8 +5,8 @@ Rows are rows of ints in every field, each entry read with
 characteristic p; in characteristic 0 with the row's content divided out,
 then eliminated fraction-free.  A rational row enters scaled by the lcm
 of its denominators.  ``RowBasis`` owns the one incremental elimination
-loop; ``TrackingRowBasis`` carries each row's expression through the same
-steps and stores it with the row, and runs only where a relation is read.
+loop; ``TrackingRowBasis`` carries each row's combination of the added
+rows in integer columns after it, and runs only where a relation is read.
 The one-shot ``rank``, ``row_reduce`` and ``_integer_kernel`` take the
 field, the rows and the column count, which a matrix with no rows still
 needs; ``rank`` clears only below each pivot.  One sparse integer kernel,
@@ -103,12 +103,12 @@ class FieldSpec:
         return "QQ" if self.characteristic == 0 else f"GF({self.characteristic})"
 
 
-def _strip_content(row: list[int]) -> tuple[list[int], int]:
-    """The row divided by its content, and that content (1 for a zero row)."""
+def _strip_content(row: list[int]) -> list[int]:
+    """The row divided by its content (a zero row as it is)."""
     g = math.gcd(*row)
     if g <= 1:
-        return row, 1
-    return [x // g for x in row], g
+        return row
+    return [x // g for x in row]
 
 
 def _echelon(
@@ -129,7 +129,7 @@ def _echelon(
     if p:
         rows = [[index(x) % p for x in r] for r in rows]
     else:
-        rows = [_strip_content([index(x) for x in r])[0] for r in rows]
+        rows = [_strip_content([index(x) for x in r]) for r in rows]
     pivots: list[int] = []
     r = 0
     for col in range(ncols):
@@ -153,7 +153,7 @@ def _echelon(
             else:
                 g = math.gcd(piv, f)
                 mine, theirs = piv // g, f // g
-                rows[i] = _strip_content([mine * a - theirs * b for a, b in zip(rows[i], prow)])[0]
+                rows[i] = _strip_content([mine * a - theirs * b for a, b in zip(rows[i], prow)])
         pivots.append(col)
         r += 1
     return rows, pivots
@@ -200,85 +200,82 @@ class RowBasis:
 
     Characteristic 0 keeps content-stripped integer rows, row <- (piv * row
     - f * stored) / content; prime characteristic keeps pivot-normalized
-    residue rows, row <- row - f * stored.  Stored rows never change.
-    ``add`` reports whether the vector enlarged the span, which is all the
-    relation pass asks of each candidate.  A tracking basis applies each
-    step to the row's expression over the added tags as well and stores it
-    with the row (else None): a dict tag -> coefficient, over QQ a
-    ``Fraction`` that starts at 1/content, mod p a residue normalized with
-    its row.
+    residue rows, row <- row - f * stored.  A stored row changes only by
+    the zero columns a tracking basis appends.  ``add`` reports whether the
+    vector enlarged the span, which is all the relation pass asks of each
+    candidate.
     """
 
     __slots__ = ("field", "_rows")
-    _tracking = False
 
     def __init__(self, field: FieldSpec):
         self.field = field
-        self._rows: list[tuple[int, list, object]] = []  # (pivot col, row, expr), sorted
+        self._rows: list[tuple[int, list[int]]] = []  # (pivot col, row), sorted
 
     @property
     def rank(self) -> int:
         return len(self._rows)
 
     def add(self, vec: Sequence) -> bool:
-        return self._eliminate(vec, None)[0] is not None
+        return self._eliminate(vec, len(vec)) is None
 
-    def _eliminate(self, vec: Sequence, tag) -> tuple[Optional[int], object]:
-        """Reduce vec, and its expression when tracking, by the stored rows
-        and store the rest if nonzero.  Returns (lead, expr), lead None for
-        a dependent vec."""
+    def _eliminate(self, vec: Sequence, ncols: int) -> Optional[list[int]]:
+        """Reduce vec by the stored rows.  Store the rest and return None
+        if it is nonzero in its first ncols entries, else return it."""
         p = self.field.characteristic
-        track = self._tracking
         if p:
             row = [index(x) % p for x in vec]
-            expr = {tag: 1} if track else None
-            for col, stored, sexpr in self._rows:
+            for col, stored in self._rows:
                 f = row[col]
                 if f:
                     row = [(a - f * b) % p for a, b in zip(row, stored)]
-                    if track:
-                        for t, c in sexpr.items():
-                            expr[t] = (expr.get(t, 0) - f * c) % p
         else:
-            row, content = _strip_content([index(x) for x in vec])
-            expr = {tag: Fraction(1, content)} if track else None  # the row == vec / content
-            for col, stored, sexpr in self._rows:
+            row = _strip_content([index(x) for x in vec])
+            for col, stored in self._rows:
                 f = row[col]
                 if f:
                     piv = stored[col]
-                    row, factor = _strip_content([piv * a - f * b for a, b in zip(row, stored)])
-                    if track:
-                        expr = {
-                            t: c
-                            for t in expr | sexpr
-                            if (c := (piv * expr.get(t, 0) - f * sexpr.get(t, 0)) / factor)
-                        }
-        lead = next((i for i, x in enumerate(row) if x), None)
-        if lead is not None:
-            if p:
-                inv = pow(row[lead], -1, p)
-                row = [inv * x % p for x in row]
-                if track:
-                    expr = {t: inv * c % p for t, c in expr.items() if c}
-            bisect.insort(self._rows, (lead, row, expr), key=itemgetter(0))
-        return lead, expr
+                    row = _strip_content([piv * a - f * b for a, b in zip(row, stored)])
+        lead = next((i for i, x in enumerate(row) if x), ncols)
+        if lead >= ncols:
+            return row
+        if p:
+            inv = pow(row[lead], -1, p)
+            row = [inv * x % p for x in row]
+        bisect.insort(self._rows, (lead, row), key=itemgetter(0))
+        return None
 
 
 class TrackingRowBasis(RowBasis):
     """Row basis that keeps how each stored row is built from the added
     rows; the relation pass tracks only where a relation is read.
 
-    A dependent row's ``add`` returns the sparse combination {tag: coeff}
-    over the added rows (its own tag included) that sums to zero; an
-    independent one returns None.  Any hashable is a tag, None included.
+    A vec enters as vec | 0 ... 0 1, a zero column per stored row and a 1
+    in its own tag's column, so the one elimination step carries its
+    combination along; storing a row gives every stored row a zero column.
+    A dependent row's ``add`` returns the tail of its reduced row, the
+    combination {tag: coeff} over the added rows that sums to zero: ints
+    over QQ, residues mod p, nonzero on its own tag (1 mod p) and on stored
+    tags only, and unique up to a nonzero factor, as the stored rows are
+    independent.  An independent row's ``add`` returns None.  Any hashable
+    is a tag, None included.
     """
 
-    __slots__ = ()
-    _tracking = True
+    __slots__ = ("_tags",)
+
+    def __init__(self, field: FieldSpec):
+        super().__init__(field)
+        self._tags: list = []  # the tag of each stored row, by tail column
 
     def add(self, vec: Sequence, tag) -> Optional[dict]:
-        lead, expr = self._eliminate(vec, tag)
-        return None if lead is not None else {t: c for t, c in expr.items() if c}
+        tags = self._tags
+        rest = self._eliminate([*vec, *[0] * len(tags), 1], len(vec))
+        if rest is None:
+            tags.append(tag)
+            for _, stored in self._rows:
+                stored.append(0)
+            return None
+        return {t: c for t, c in zip([*tags, tag], rest[len(vec) :]) if c}
 
 
 class SparseRowBasis:

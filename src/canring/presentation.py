@@ -448,12 +448,15 @@ def _relation(
     complete.  Each t of F(d), and e, has the entry (section, kappa,
     quotient, rest), kappa = scale * den: rest_t = kappa s_t - quotient_t g
     (_divide).  The rests of F(d) are independent, so the rest of e is one
-    combination sum_t c_t rest_t, read off their tracker, built on first
-    need and kept in trackers by degree.  Scaled to coefficient 1 at e, it
-    says sum_t a_t s_t = x_0 Q, Q of degree d - w_0.  The rest of Q is
-    solved in the rests of F(d - w_0), a square invertible system, likewise:
-    Q + sum_f a_f s_f = x_0 Q', and so on down.  The relation is sum_t a_t
-    x^t plus sum_f a_f x_0^i f at depth i.
+    combination of them, sum_t c_t rest_t = 0 over F(d) and e, ints over
+    QQ, read off their tracker, built on first need and kept in trackers
+    by degree.  With a_t = c_t kappa_t / (c_e kappa_e) it says sum_t a_t
+    s_t = x_0 Q, Q of degree d - w_0 the section with row den_g sum_t c_t
+    quotient_t (g over den_g is x_0 times 1) and den c_e kappa_e.  The rest
+    of Q is solved in the rests of F(d - w_0), a square invertible system,
+    likewise: Q + sum_f a_f s_f = x_0 Q', and so on down.  The relation is
+    sum_t a_t x^t plus sum_f a_f x_0^i f at depth i; only its coefficients
+    are Fractions.
     """
     relation: dict[tuple[int, ...], object] = {}
     power = 0  # of x_0
@@ -467,23 +470,17 @@ def _relation(
         if combo is None:
             raise AssertionError(f"the standard monomials fail to span degree {d}")
         block = blocks[d]
-        inv = field.inv(field.mul(combo[e], entry[1]))
-        acc = [field.zero] * (block[1] if block else 0)
+        den = field.mul(combo[e], entry[1])
+        inv, acc = field.inv(den), [0] * (block[1] if block else 0)
         for t, c in combo.items():
             _, kappa, quotient, _ = entry if t == e else free[d][t]
             if t is not None:
-                relation[(power,) + t[1:]] = field.mul(field.mul(c, kappa), inv)
+                relation[(power,) + t[1:]] = field.mul(c * kappa, inv)
             acc = [field.add(x, field.mul(c, q)) for x, q in zip(acc, quotient)]
-        values = [field.mul(field.mul(x, block[3]), inv) for x in acc]
-        if not any(values):
+        if not any(acc):
             return relation
         d, power = d - w0, power + 1
-        if field.characteristic:
-            row, den = values, 1
-        else:
-            den = math.lcm(*[x.denominator for x in values])
-            row = [x.numerator * (den // x.denominator) for x in values]
-        scale, quotient, rest = _divide(field, row, blocks[d])
+        scale, quotient, rest = _divide(field, [block[3] * x for x in acc], blocks[d])
         e, entry = None, (None, scale * den, quotient, rest)
 
 

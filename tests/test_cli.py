@@ -102,6 +102,18 @@ class TestTwopoint:
         assert code == 1
         assert "at most 2" in err
 
+    def test_plain_free_ring(self, capsys):
+        code, out, err = run(capsys, "twopoint", "--alphas=1/2")
+        assert (code, err) == (0, "")
+        assert out == (
+            "two-point ring for alpha=1/2, beta=0\n"
+            "  2 generators f_0..f_1 (degree, exponent):\n"
+            "    f_0 = t^0 u^1\n"
+            "    f_1 = t^1 u^2\n"
+            "  0 relations:\n"
+            "  (free polynomial ring)\n"
+        )
+
 
 class TestGens:
     def test_235(self, capsys):
@@ -118,6 +130,41 @@ class TestGens:
         )
         assert code == 0
         assert "3 generators" in out
+
+
+class TestInputChecks:
+    """Malformed coefficients and characteristics are refused with a
+    one-line error and exit code 1, before any engine work."""
+
+    @pytest.mark.parametrize("alphas", ["x/2", "1/0"])
+    def test_not_a_rational_number(self, capsys, alphas):
+        code, out, err = run(capsys, "gens", f"--alphas={alphas}")
+        assert (code, out) == (1, "")
+        assert err == f"error: not a rational number: '{alphas}'\n"
+
+    @pytest.mark.parametrize(
+        "char",
+        [
+            1,
+            2501,  # 41 * 61: no factor <= 37, and 2500 = 2^2 * 625
+            3215031751,  # a strong pseudoprime to the bases 2, 3, 5 and 7
+        ],
+    )
+    def test_rejects_composite_characteristic(self, capsys, char):
+        code, out, err = run(capsys, "gens", "--alphas=1/2", "--char", str(char))
+        assert (code, out) == (1, "")
+        assert err == f"error: characteristic must be 0 or prime, got {char}\n"
+
+    def test_accepts_large_prime(self, capsys):
+        # 998244353 - 1 = 119 * 2^23: the squaring loop runs before it meets -1
+        code, out, err = run(capsys, "gens", "--alphas=1/2", "--char", "998244353")
+        assert (code, err) == (0, "")
+        assert out.startswith("minimal generators of QDivisor(1/2*(inf)) over GF(998244353)\n")
+
+    def test_no_points(self, capsys):
+        code, out, err = run(capsys, "gens", "--alphas=,")
+        assert (code, out) == (1, "")
+        assert err == "error: a divisor needs at least one point\n"
 
 
 class TestRelsAndGroebner:

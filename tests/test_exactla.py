@@ -72,6 +72,25 @@ def _qq_sequences(draw):
     return width, [integer_row(vec) for vec in vecs]
 
 
+def _monic(field, combo, tag):
+    """A combination divided by its coefficient on its own tag."""
+    inv = field.inv(combo[tag])
+    return {t: field.mul(c, inv) for t, c in combo.items()}
+
+
+def _check_combination(field, combo, tag, vecs, kept):
+    """A tracked combination holds ints (residues mod p, 1 on its own tag),
+    is nonzero on its own tag, is supported on the kept tags and its own,
+    and sums the added vectors (vecs[tag]) to zero."""
+    p = field.characteristic
+    assert all(type(c) is int for c in combo.values())
+    assert combo[tag] and set(combo) - {tag} <= set(kept)
+    if p:
+        assert combo[tag] == 1 and all(0 < c < p for c in combo.values())
+    for col in range(len(vecs[tag])):
+        assert field.mul(1, sum(c * vecs[t][col] for t, c in combo.items())) == 0
+
+
 def _reference_row_reduce(m):
     """Dense Gauss-Jordan with ``Fraction``/``FieldSpec`` arithmetic on every
     entry, kept as the reference for the fraction-free ``row_reduce``."""
@@ -470,35 +489,40 @@ class TestTrackingRowBasis:
     @given(_qq_sequences())
     def test_matches_fraction_reference(self, case):
         _, vecs = case
-        trb, reference = TrackingRowBasis(QQ), FieldTracker(QQ)
+        trb, reference, kept = TrackingRowBasis(QQ), FieldTracker(QQ), []
         for tag, vec in enumerate(vecs):
-            combo = trb.add(vec, tag)
-            assert combo == reference.add(vec, tag)
-            if combo is not None:
-                assert all(type(c) is Fraction for c in combo.values())
+            combo, expected = trb.add(vec, tag), reference.add(vec, tag)
+            if combo is None:
+                assert expected is None
+                kept.append(tag)
+            else:
+                _check_combination(QQ, combo, tag, vecs, kept)
+                assert _monic(QQ, combo, tag) == expected
         assert trb.rank == len(reference.rows)
 
     def test_zero_vector_and_int_entries(self):
+        # a tracked row is the vector, a 0 for each stored row and a 1 for
+        # its own tag: [1, 2, 0, 1] steps against [2, 4, 1, 0] to [0, 0, -1, 2]
         trb = TrackingRowBasis(QQ)
-        assert trb.add([0, 0], "z") == {"z": Fraction(1)}
+        assert trb.add([0, 0], "z") == {"z": 1}
         assert trb.add([2, 4], "a") is None
         combo = trb.add([1, 2], "b")
-        assert combo == {"a": Fraction(-1, 2), "b": Fraction(1)}  # 1 / the content of each row
-        assert all(type(c) is Fraction for c in combo.values())
+        assert combo == {"a": -1, "b": 2}
+        assert all(type(c) is int for c in combo.values())
 
     def test_content_stripping_step_is_pinned(self):
-        # QQ: a = [2, 1] is stored as it is, with {a: 1}.  b = [4, 4] enters
-        # as [1, 1] with {b: 1/4}; its step 2 [1, 1] - 1 [2, 1] = [0, 1] has
-        # content 1, so b is stored with {b: 1/2, a: -1}.  c = [6, 5] steps
-        # to 2 c - 6 a = [0, 4], content 4, so {c: 1/2, a: -3/2}, then to 0
-        # against b.  Mod 7 every stored row is normalized at its pivot.
+        # QQ: a = [2, 1] is stored as [2, 1 | 1].  b = [4, 4] enters as
+        # [4, 4 | 0, 1]; its step 2 b - 4 a = [0, 4 | -4, 2] has content 2,
+        # so b is stored as [0, 2 | -2, 1]: its tag columns say [0, 2] = b - 2 a.
+        # Every stored row gains a zero column for the next tag.  c = [6, 5]
+        # steps to [0, 2 | -3, 0, 1] against a, content 2, then to
+        # [0, 0 | -1, -1, 1] against b.  Mod 7 every stored row is normalized
+        # at its pivot.
         trb = TrackingRowBasis(QQ)
         assert trb.add([2, 1], "a") is None
         assert trb.add([4, 4], "b") is None
-        assert trb._rows[1][2] == {"b": Fraction(1, 2), "a": Fraction(-1)}
-        assert trb.add([6, 5], "c") == {
-            "c": Fraction(1, 2), "a": Fraction(-1, 2), "b": Fraction(-1, 2)
-        }
+        assert trb._rows == [(0, [2, 1, 1, 0, 0]), (1, [0, 2, -2, 1, 0])]
+        assert trb.add([6, 5], "c") == {"c": 1, "a": -1, "b": -1}
         gfp = TrackingRowBasis(GF7)
         assert gfp.add([2, 1], "a") is None and gfp.add([4, 4], "b") is None
         assert gfp.add([6, 5], "c") == {"c": 1, "a": 6, "b": 6}
@@ -541,7 +565,6 @@ class TestProbes:
     @given(_probe_cases())
     def test_probes_leave_the_tracker_unchanged(self, case):
         field, width, steps = case
-        p = field.characteristic
         trb, unprobed = TrackingRowBasis(field), TrackingRowBasis(field)
         reference = FieldTracker(field)
         vecs, kept = {}, []
@@ -549,7 +572,7 @@ class TestProbes:
             tag = None if probe else i
             vecs[tag] = vec
             before = trb.rank
-            combo = trb.add(vec, tag)
+            combo, expected = trb.add(vec, tag), reference.add(vec, tag)
             if probe:
                 assert combo is not None and combo[None]
                 assert trb.rank == before
@@ -558,13 +581,12 @@ class TestProbes:
                 assert combo == unprobed.add(vec, tag)
                 if combo is None:
                     kept.append(tag)
-            assert combo == reference.add(vec, tag)
-            if p and combo is not None:
-                assert combo[tag] == 1
-                assert set(combo) - {tag} <= set(kept)
-                assert all(0 < c < p for c in combo.values())
-                for col in range(width):
-                    assert sum(c * vecs[t][col] for t, c in combo.items()) % p == 0
+            assert trb._rows == unprobed._rows
+            if combo is None:
+                assert expected is None
+            else:
+                _check_combination(field, combo, tag, vecs, kept)
+                assert _monic(field, combo, tag) == expected
         added = [vec for probe, vec in steps if not probe]
         assert trb.rank == unprobed.rank == len(kept) == rank(field, added, width)
 
@@ -572,7 +594,8 @@ class TestProbes:
 class TestIntegerRows:
     """Characteristic-0 elimination takes an integer row as it is.  The same
     row scaled by a positive integer gives the same rank and add verdicts,
-    and a tracked combination differs only by the scale on each tag."""
+    and a tracked combination differs only by the scale on each tag, up to
+    a common factor."""
 
     @settings(max_examples=200, deadline=None)
     @given(case=_qq_sequences(), data=st.data())
@@ -592,7 +615,8 @@ class TestIntegerRows:
             if scaled_combo is None:
                 assert combo is None
             else:
-                assert combo == {t: c * tag_scales[t] for t, c in scaled_combo.items()}
+                unscaled = {t: c * tag_scales[t] for t, c in scaled_combo.items()}
+                assert _monic(QQ, combo, tag) == _monic(QQ, unscaled, tag)
         assert basis.rank == scaled_basis.rank == tracker.rank == scaled_tracker.rank
 
 
