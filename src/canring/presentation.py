@@ -589,8 +589,9 @@ def relation_ideal(
     degree, so a relation whose leading term is a multiple of a lower one
     lies in (mI)_d (m the ideal of the generators) plus the g_e below it,
     and is never emitted.  Graded Nakayama runs only in degrees with new
-    leading terms, seeded with the shifts x^a g (a != 0) of the lower g_e,
-    which span (mI)_d, until its rank reaches dim I_d.  Raises
+    leading terms, seeded with the shifts x^a g (a != 0) of the minimal
+    relations emitted below d, which generate I below d and so span
+    (mI)_d, until its rank reaches dim I_d.  Raises
     GenerationError if the generators fail the dimension (Hilbert series)
     check at any degree.
     """
@@ -600,16 +601,14 @@ def relation_ideal(
 def _relations(field: FieldSpec, gens: Sequence[GeneratorRecord], passed: Iterable) -> list[RelationPoly]:
     """The body of relation_ideal, over the items of a standard pass."""
     weights = [g.degree for g in gens]
-    lower: dict[int, list[dict]] = {}  # the relations g_e by degree
     minimal: list[RelationPoly] = []
     for d, target, new in passed:
         formed = [relation() for _, relation in new]  # F(d) is complete
         nakayama = SparseRowBasis(field)
         shifts = [
-            {tuple([x + y for x, y in zip(e, a)]): c for e, c in g.items()}
-            for d0, rels in lower.items()
-            for a in _weighted_exponents(weights, d - d0)
-            for g in rels
+            {tuple([x + y for x, y in zip(e, a)]): c for e, c in g.terms}
+            for g in minimal
+            for a in _weighted_exponents(weights, d - g.degree)
         ]
         shifts.sort(key=min, reverse=True)  # pivots descending: far less fill-in
         for vec in shifts:
@@ -621,7 +620,6 @@ def _relations(field: FieldSpec, gens: Sequence[GeneratorRecord], passed: Iterab
                 if nakayama.add(vec):
                     terms = tuple(sorted(vec.items(), key=lambda t: _word(t[0])))
                     minimal.append(RelationPoly(d, terms))
-        lower[d] = formed
     return minimal
 
 

@@ -4,7 +4,9 @@ A best lower approximation of a rational alpha is a fraction c/d <= alpha
 such that no fraction with smaller denominator lies in [c/d, alpha].  The
 chains of these approximations are the backbone of the explicit one- and
 two-point presentations: consecutive chain vectors (d, c) form a
-positively oriented Z-basis of the plane lattice.
+positively oriented Z-basis of the plane lattice, and a chain is built by
+the recurrence v_{i+1} = a_i * v_i - v_{i-1} of the minus continued
+fraction (Khinchin, Continued Fractions, ch. I-II).
 """
 
 from __future__ import annotations
@@ -65,49 +67,14 @@ def cross(u: LatticeVec2, v: LatticeVec2) -> int:
     return u.d * v.c - u.c * v.d
 
 
-def _sb_between(lo: Fraction, hi: Fraction, lo_open: bool, hi_open: bool) -> Fraction:
-    """Minimal-denominator fraction in an integer-free interval.
-
-    Stern-Brocot mediant descent inside the integer gap containing
-    [lo, hi], with steps in the same direction batched so the walk takes
-    O(log max-denominator) iterations.  With no integer available the
-    minimal-denominator element is unique, so the open/closed flags fully
-    determine the result.
-    """
-    n = math.floor(lo)
-    ln, ld = n, 1  # left bound, <= the interval
-    rn, rd = n + 1, 1  # right bound, >= the interval
-    lop, loq = lo.numerator, lo.denominator
-    hin, hiq = hi.numerator, hi.denominator
-    while True:
-        mn, md = ln + rn, ld + rd
-        below = mn * loq - lop * md  # sign of mediant - lo
-        if below < 0 or (below == 0 and lo_open):
-            # mediant still too small: batch right steps
-            a = rn * loq - lop * rd  # > 0 since R > lo
-            b = lop * ld - ln * loq  # >= 0 since L <= lo
-            k = b // a if lo_open else (b - 1) // a
-            k = max(k, 1)
-            ln, ld = ln + k * rn, ld + k * rd
-            continue
-        above = mn * hiq - hin * md  # sign of mediant - hi
-        if above > 0 or (above == 0 and hi_open):
-            # mediant still too big: batch left steps
-            a = hin * ld - ln * hiq  # > 0 since L < hi
-            b = rn * hiq - hin * rd  # >= 0 since R >= hi
-            k = b // a if hi_open else (b - 1) // a
-            k = max(k, 1)
-            rn, rd = k * ln + rn, k * ld + rd
-            continue
-        return Fraction(mn, md)
-
-
 def minimal_denominator_in_interval(lo: Rational, hi: Rational) -> Fraction:
     """The fraction of minimal denominator in the closed interval [lo, hi].
 
     If several integers qualify the tie is broken toward the smallest
     absolute numerator and then toward the positive value; for denominators
-    >= 2 the minimal-denominator fraction is unique.
+    >= 2 the minimal-denominator fraction is unique.  With no integer in
+    [lo, hi] and n = floor(lo), it is n + 1/y for the simplest y in
+    [1/(hi - n), 1/(lo - n)]: the continued-fraction descent, run as a loop.
     """
     lo, hi = Fraction(lo), Fraction(hi)
     if lo > hi:
@@ -117,28 +84,23 @@ def minimal_denominator_in_interval(lo: Rational, hi: Rational) -> Fraction:
         if lo <= 0 <= hi:
             return Fraction(0)
         return Fraction(ilo if lo > 0 else ihi)
-    if lo == hi:
-        return lo
-    return _sb_between(lo, hi, lo_open=False, hi_open=False)
-
-
-def _next_lower(x: Fraction, alpha: Fraction) -> Fraction:
-    """Successor of the best lower approximation x < alpha.
-
-    This is the minimal-denominator fraction in (x, alpha], taking the
-    smallest value when several integers share denominator 1.
-    """
-    m = math.floor(x) + 1
-    if m <= alpha:
-        return Fraction(m)
-    return _sb_between(x, alpha, lo_open=True, hi_open=False)
+    p, q, r, s = 1, 0, 0, 1  # the answer is (p*y + r)/(q*y + s), y the simplest in [lo, hi]
+    while math.ceil(lo) > hi:
+        n = math.floor(lo)
+        lo, hi = 1 / (hi - n), 1 / (lo - n)
+        p, q, r, s = n * p + r, n * q + s, p, q
+    y = math.ceil(lo)
+    return Fraction(p * y + r, q * y + s)
 
 
 def best_lower_approximations(alpha: Rational, start: Rational) -> tuple[Fraction, ...]:
     """All best lower approximations of alpha in [start, alpha], increasing.
 
     ``start`` must itself be a best lower approximation; the chain always
-    terminates at alpha since alpha is rational.
+    terminates at alpha since alpha is rational.  Consecutive chain vectors
+    satisfy v_{i-1} + v_{i+1} = a_i * v_i: with g(d, c) = p*d - q*c for
+    alpha = p/q and any u with cross(u, v) = 1, the successor of v is
+    a*v - u for the least a that keeps it at or below alpha.
     """
     alpha, start = Fraction(alpha), Fraction(start)
     if start > alpha:
@@ -149,11 +111,17 @@ def best_lower_approximations(alpha: Rational, start: Rational) -> tuple[Fractio
             f"{start} is not a best approximation of {alpha}: "
             f"{witness} has a smaller denominator"
         )
+    p, q = alpha.numerator, alpha.denominator
+    c, d = start.numerator, start.denominator
+    ud = pow(c, -1, d)  # u = (0, -1) for an integer start
+    uc = (ud * c - 1) // d
+    gu, gv = p * ud - q * uc, p * d - q * c
     entries = [start]
-    x = start
-    while x != alpha:
-        x = _next_lower(x, alpha)
-        entries.append(x)
+    while gv:
+        a = -(-gu // gv)
+        ud, uc, d, c = d, c, a * d - ud, a * c - uc
+        gu, gv = gv, a * gv - gu
+        entries.append(Fraction(c, d))
     return tuple(entries)
 
 

@@ -80,6 +80,34 @@ class TestBestLower:
         chain = list(best_lower_approximations(alpha, start))
         assert chain == brute_lower_chain(alpha, start)
 
+    @settings(max_examples=150, deadline=None)
+    @given(alpha=rationals, data=st.data())
+    def test_brute_force_completeness_from_every_start(self, alpha, data):
+        # every entry of the chain from floor(alpha) is a valid start, most
+        # of them with denominator > 1 (the seeds of two-point chains)
+        start = data.draw(st.sampled_from(brute_lower_chain(alpha, Fraction(math.floor(alpha)))))
+        chain = list(best_lower_approximations(alpha, start))
+        assert chain == brute_lower_chain(alpha, start)
+
+    def test_deep_fibonacci_chain(self):
+        # F_3001/F_3000 has a continued fraction 3000 terms deep; its chain
+        # from 1 is F_{2j+2}/F_{2j+1}, j = 0..1499, then alpha, with
+        # v_{i-1} + v_{i+1} = a_i * v_i for a_i = 3, 3, ..., 3, 2
+        fib = [0, 1]
+        while len(fib) < 3002:
+            fib.append(fib[-1] + fib[-2])
+        alpha = Fraction(fib[3001], fib[3000])
+        chain = best_lower_approximations(alpha, 1)
+        assert chain == tuple(Fraction(fib[2 * j + 2], fib[2 * j + 1]) for j in range(1500)) + (alpha,)
+        vecs = [LatticeVec2.from_fraction(x) for x in chain]
+        assert all(cross(u, v) == 1 for u, v in zip(vecs, vecs[1:]))
+        quotients = []
+        for u, v, w in zip(vecs, vecs[1:], vecs[2:]):
+            a, rem = divmod(u.d + w.d, v.d)
+            assert rem == 0 and u.c + w.c == a * v.c
+            quotients.append(a)
+        assert quotients == [3] * 1498 + [2]
+
     @settings(max_examples=200, deadline=None)
     @given(alpha=st.fractions(min_value=-50, max_value=50, max_denominator=200))
     def test_unimodularity(self, alpha):
@@ -157,6 +185,20 @@ class TestMinimalDenominator:
         # closest to zero.
         assert minimal_denominator_in_interval(-3, -2) == -2
         assert minimal_denominator_in_interval(2, 3) == 2
+
+    def test_deep_fibonacci_endpoints(self):
+        # the descent runs about 2000 levels deep on these endpoints, so a
+        # recursive descent would end in RecursionError
+        fib = [0, 1]
+        while len(fib) < 2004:
+            fib.append(fib[-1] + fib[-2])
+        near, far = Fraction(fib[2001], fib[2000]), Fraction(fib[2002], fib[2001])
+        lo, hi = sorted((near, far))
+        assert minimal_denominator_in_interval(lo, hi) == near
+        # strictly between the Farey neighbours only their mediant has a
+        # denominator below F_2002 + F_2001
+        eps = Fraction(1, fib[2003] ** 2)
+        assert minimal_denominator_in_interval(lo + eps, hi - eps) == Fraction(fib[2003], fib[2002])
 
     @settings(max_examples=200, deadline=None)
     @given(a=rationals, b=rationals)
