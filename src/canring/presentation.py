@@ -25,7 +25,8 @@ Relations and Groebner leading terms come from one degreewise pass that
 renders only the x_0-free standard monomials and the new leading terms:
 the multiples of the first generator x_0 fill a block x_0 S_{d - w_0} of
 known echelon form, which the other candidates are divided by.  Only a
-reader of relations forms them, each monic at its leading term.  A scan
+reader of relations forms them.  Each is one solve over the sections of
+the standard monomials of its degree, monic at its leading term.  A scan
 configuration, like a CLI command (_presentation), runs every stage on one
 realization and one pass.
 """
@@ -404,22 +405,22 @@ class _MonomialEvaluator:
         return self.real.render_monomial(GradedMonomial(d, tuple(c)))
 
 
-def _divide(field: FieldSpec, row: list[int], block: Optional[tuple]) -> tuple[int, list, list]:
+def _divide(field: FieldSpec, row: list[int], block: Optional[tuple]) -> list[int]:
     """Low-order division of a row of degree d by the block of x_0 S_{d - w_0}.
 
-    The block (lo, nq, support, den) has the echelon rows g t^j, j < nq,
-    where g over den is x_0 times 1 and support lists the nonzero (index,
-    entry) pairs of g; row j leads at lo + j.  Returns (scale, quotient,
-    rest) with scale * row = quotient * g + rest, the rest being zero at
-    lo..lo+nq-1 and given off those coordinates.  Mod p the scale is 1;
+    The block (lo, nq, support) has the echelon rows g t^j, j < nq, where g
+    is x_0 times 1 up to scale and support lists the nonzero (index, entry)
+    pairs of g; row j leads at lo + j.  Returns the rest: a nonzero multiple
+    of the row minus a combination of the block's rows, zero at
+    lo..lo+nq-1 and given off those coordinates.  Mod p the multiple is 1;
     over QQ the division is fraction-free, on integer rows.
     """
     if block is None:
-        return 1, [], row
-    lo, nq, support, _ = block
+        return row
+    lo, nq, support = block
     a, p = support[0][1], field.characteristic
     inv = pow(a, -1, p) if p else 0
-    row, quotient, scale = list(row), [0] * nq, 1
+    row = list(row)
     for j in range(nq):
         f = row[lo + j]
         if not f:
@@ -433,55 +434,44 @@ def _divide(field: FieldSpec, row: list[int], block: Optional[tuple]) -> tuple[i
             m, f = a // g, f // g
             if m != 1:
                 row = [m * x for x in row]
-                quotient = [m * x for x in quotient]
-                scale *= m
             for i, c in support:
                 row[i + j] -= f * c
-        quotient[j] = f
-    return scale, quotient, row[:lo] + row[lo + nq :]
+    return row[:lo] + row[lo + nq :]
 
 
 def _relation(
-    field: FieldSpec, free: dict, blocks: dict, trackers: dict, w0: int, d: int, e, entry: tuple
+    real: _Realization, free: dict, bases: dict, w0: int, x0: Section, d: int, e, section: Section
 ) -> dict[tuple[int, ...], object]:
     """The relation of a dependent candidate e of degree d, once F(d) is
-    complete.  Each t of F(d), and e, has the entry (section, kappa,
-    quotient, rest), kappa = scale * den: rest_t = kappa s_t - quotient_t g
-    (_divide).  The rests of F(d) are independent, so the rest of e is one
-    combination of them, sum_t c_t rest_t = 0 over F(d) and e, ints over
-    QQ, read off their tracker, built on first need and kept in trackers
-    by degree.  With a_t = c_t kappa_t / (c_e kappa_e) it says sum_t a_t
-    s_t = x_0 Q, Q of degree d - w_0 the section with row den_g sum_t c_t
-    quotient_t (g over den_g is x_0 times 1) and den c_e kappa_e.  The rest
-    of Q is solved in the rests of F(d - w_0), a square invertible system,
-    likewise: Q + sum_f a_f s_f = x_0 Q', and so on down.  The relation is
-    sum_t a_t x^t plus sum_f a_f x_0^i f at depth i; only its coefficients
-    are Fractions.
+    complete: e minus its expansion in the standard monomials std(d).
+
+    std(c) is x_0 std(c - w_0) and F(c): its sections are those of F(c)
+    and the products of x_0 (section x0) with those of std(c - w_0), built
+    up the chain c = d mod w_0, ..., d from its highest degree in bases.
+    bases keeps them, a basis of S_d, with their tracker at the degrees of
+    formed relations only, not along the chain (sum_c dim S_c sections).
+    Adding the section (row_e, den_e) of e gives the unique combination
+    sum_t c_t row_t = 0 over std(d) and e, ints over QQ.  The coefficient
+    of t is c_t den_t / (c_e den_e), 1 at e; only these are Fractions.
     """
-    relation: dict[tuple[int, ...], object] = {}
-    power = 0  # of x_0
-    while True:
-        tracker = trackers.get(d)
-        if tracker is None:
-            tracker = trackers[d] = TrackingRowBasis(field)
-            for t, (_, _, _, rest) in free[d].items():
-                tracker.add(rest, t)
-        combo = tracker.add(entry[3], e)
-        if combo is None:
-            raise AssertionError(f"the standard monomials fail to span degree {d}")
-        block = blocks[d]
-        den = field.mul(combo[e], entry[1])
-        inv, acc = field.inv(den), [0] * (block[1] if block else 0)
-        for t, c in combo.items():
-            _, kappa, quotient, _ = entry if t == e else free[d][t]
-            if t is not None:
-                relation[(power,) + t[1:]] = field.mul(c * kappa, inv)
-            acc = [field.add(x, field.mul(c, q)) for x, q in zip(acc, quotient)]
-        if not any(acc):
-            return relation
-        d, power = d - w0, power + 1
-        scale, quotient, rest = _divide(field, [block[3] * x for x in acc], blocks[d])
-        e, entry = None, (None, scale * den, quotient, rest)
+    field = real.field
+    if d not in bases:
+        # resume at the chain's highest degree in bases, else below degree 0
+        top = max((c for c in bases if c < d and (d - c) % w0 == 0), default=d % w0 - w0)
+        std = bases[top][0] if top in bases else {}
+        for c in range(top + w0, d + 1, w0):  # a loop, not a recursion: with w_0 = 1 it is d deep
+            level = {(t[0] + 1,) + t[1:]: real.multiply(w0, x0, c - w0, s) for t, s in std.items()}
+            std = {**level, **free.get(c, {})}
+        tracker = TrackingRowBasis(field)
+        for t, (row, _) in std.items():
+            tracker.add(row, t)
+        bases[d] = std, tracker
+    std, tracker = bases[d]
+    combo = tracker.add(section[0], e)
+    if combo is None:
+        raise AssertionError(f"the standard monomials fail to span degree {d}")
+    inv = field.inv(field.mul(combo[e], section[1]))
+    return {t: field.mul(c * (section if t == e else std[t])[1], inv) for t, c in combo.items()}
 
 
 def _standard_pass(
@@ -506,11 +496,12 @@ def _standard_pass(
     in word order; those that a lower leading term divides are skipped
     unrendered.  Each other one is one product, divided by the block
     (_divide), and its rest goes to the degree's RowBasis, untracked; F(d)
-    keeps each rest.  A dependent rest gives the unique relation of e over
-    the standard monomials below it, with coefficient 1 at e, deferred: a
-    call of _relation, valid once F(d) is complete, that only a reader of
-    relations makes.  Yields d, dim I_d = #monomials(d) - dim S_d and the
-    new (leading term, deferred relation) pairs of each degree that has any.
+    keeps each section.  A dependent rest gives the unique relation of e
+    over the standard monomials below it, with coefficient 1 at e,
+    deferred: a call of _relation, valid once F(d) is complete, that only a
+    reader of relations makes.  Yields d, dim I_d = #monomials(d) - dim S_d
+    and the new (leading term, deferred relation) pairs of each degree that
+    has any.
     """
     field, weights = real.field, [g.degree for g in gens]
     gen_sections = [real.render_monomial(g.monomial) for g in gens]
@@ -519,14 +510,12 @@ def _standard_pass(
         for d in range(w, up_to + 1):
             count[d] += count[d - w]
     keys = real.packed(up_to)[1]  # after count, which refuses a window past memory
-    # by degree: F(d) in word order, each monomial with its section, scale
-    # * den, quotient and rest (_divide); the block (None when it is zero);
-    # the tracker of the rests of F(d), once a relation needs it
-    empty = (0,) * len(gens)
-    free: dict[int, dict] = {0: {empty: (([1], 1), 1, [], [1])}}
-    blocks: dict[int, Optional[tuple]] = {0: None}
-    trackers: dict[int, TrackingRowBasis] = {}
-    x0: dict[int, tuple] = {}  # (support, den) of x_0 times 1 by defect subset
+    # by degree: F(d) in word order, each monomial with its section; and,
+    # once a relation of degree d is formed (_relation), the sections of
+    # std(d) with their tracker
+    free: dict[int, dict] = {0: {(0,) * len(gens): ([1], 1)}}
+    bases: dict[int, tuple[dict, TrackingRowBasis]] = {}
+    x0: dict[int, list] = {}  # the support of x_0 times 1 by defect subset
     for d in range(1, up_to + 1):
         dim = real.dim(d)
         if not count[d]:
@@ -542,15 +531,14 @@ def _standard_pass(
         if nq:
             mask = keys[d] - keys[w0] - keys[d - w0]
             if mask not in x0:
-                g, den = real.multiply(w0, gen_sections[0], d - w0, ([1], 1))
-                x0[mask] = [(i, c) for i, c in enumerate(g) if c], den
-            support, den = x0[mask]
-            block = (support[0][0], nq, support, den)
+                g, _ = real.multiply(w0, gen_sections[0], d - w0, ([1], 1))
+                x0[mask] = [(i, c) for i, c in enumerate(g) if c]
+            block = (x0[mask][0][0], nq, x0[mask])
         span, level, new = RowBasis(field), {}, []
-        free[d], blocks[d] = level, block
+        free[d] = level
         for k in range(1, len(gens)):
             w = weights[k]
-            for s, (s_section, _, _, _) in free.get(d - w, {}).items():
+            for s, s_section in free.get(d - w, {}).items():
                 e = s[:k] + (s[k] + 1,) + s[k + 1 :]
                 if any(s[:k]) or any(
                     x and e[:j] + (x - 1,) + e[j + 1 :] not in free[d - weights[j]]
@@ -558,12 +546,10 @@ def _standard_pass(
                 ):
                     continue
                 section = real.multiply(w, gen_sections[k], d - w, s_section)
-                scale, quotient, rest = _divide(field, section[0], block)
-                entry = (section, scale * section[1], quotient, rest)
-                if span.add(rest):
-                    level[e] = entry
+                if span.add(_divide(field, section[0], block)):
+                    level[e] = section
                 else:
-                    new.append((e, partial(_relation, field, free, blocks, trackers, w0, d, e, entry)))
+                    new.append((e, partial(_relation, real, free, bases, w0, gen_sections[0], d, e, section)))
         if nq + span.rank != dim:
             raise GenerationError(
                 f"generators span only {nq + span.rank} of {dim} dimensions in degree {d}"
@@ -583,8 +569,9 @@ def relation_ideal(
 
     The pass over the standard monomials gives one relation g_e per new
     leading term e: e minus its unique expansion in the standard monomials
-    below it, the relation full elimination finds, with coefficient 1 at e
-    in every field (so a QQ relation reduces mod p to the GF(p) one when
+    below it, the relation full elimination finds, solved over the sections
+    of the standard monomials of its degree, with coefficient 1 at e in
+    every field (so a QQ relation reduces mod p to the GF(p) one when
     the leading terms agree).  The word order is multiplicative within a
     degree, so a relation whose leading term is a multiple of a lower one
     lies in (mI)_d (m the ideal of the generators) plus the g_e below it,

@@ -686,6 +686,23 @@ class TestByteIdentity:
             "5b3dc7788ddd499e3218efd57c799f1e8d9755703616b4993e5afd0858e74538"
         )
 
+    def test_deep_and_wide_relations_are_pinned(self):
+        # the same record for a divisor whose first generator has degree 1
+        # (a chain of x_0 multiples as deep as the relation degree) among 13
+        # generators, to truncation 7 in QQ and GF(2^61 - 1)
+        D = canring.QDivisor.of(["inf", 0, 1, -1], [Fraction(a) for a in ("4", "3/2", "2/5", "-1/6")])
+        relations = []
+        for char in (0, 2**61 - 1):
+            field = canring.FieldSpec(char)
+            gens = canring.minimal_generators(D, field)
+            assert (len(gens), gens[0].degree) == (13, 1)
+            rels = canring.relation_ideal(D, field, gens, 7)
+            relations.append([[r.degree, [[list(e), str(c)] for e, c in sorted(r.terms)]] for r in rels])
+        assert [len(rels) for rels in relations] == [55, 55]
+        assert hashlib.sha256(canonical_json(relations).encode("utf-8")).hexdigest() == (
+            "99f904ad307b706f8809e7042ba89a25b3069a45e5232707938323b706038d3f"
+        )
+
     def test_scan_reports_are_pinned(self):
         # the sha256 of the canonical JSON of stability_scan reports: the
         # n = 5 scan of the benchmark (its anchor configuration and 16
