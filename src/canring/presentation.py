@@ -25,8 +25,9 @@ Relations and Groebner leading terms come from one degreewise pass that
 renders only the x_0-free standard monomials and the new leading terms:
 the multiples of the first generator x_0 fill a block x_0 S_{d - w_0} of
 known echelon form, which the other candidates are divided by.  Only a
-reader of relations forms them.  Each is one solve over the sections of
-the standard monomials of its degree, monic at its leading term.  A scan
+reader of relations forms them, monic at the leading term, one x_0 level
+at a time: each level solves in the x_0-free standard monomials of its
+degree, re-dividing their sections for the quotients.  A scan
 configuration, like a CLI command (_presentation), runs every stage on one
 realization and one pass.
 """
@@ -408,16 +409,16 @@ class _MonomialEvaluator:
 def _divide(field: FieldSpec, row: list[int], block: Optional[tuple]) -> list[int]:
     """Low-order division of a row of degree d by the block of x_0 S_{d - w_0}.
 
-    The block (lo, nq, support) has the echelon rows g t^j, j < nq, where g
-    is x_0 times 1 up to scale and support lists the nonzero (index, entry)
-    pairs of g; row j leads at lo + j.  Returns the rest: a nonzero multiple
-    of the row minus a combination of the block's rows, zero at
+    The block (lo, nq, support, den) has the echelon rows g t^j, j < nq,
+    where g over den is x_0 times 1 and support lists the nonzero (index,
+    entry) pairs of g; row j leads at lo + j.  Returns the rest: a nonzero
+    multiple of the row minus a combination of the block's rows, zero at
     lo..lo+nq-1 and given off those coordinates.  Mod p the multiple is 1;
     over QQ the division is fraction-free, on integer rows.
     """
     if block is None:
         return row
-    lo, nq, support = block
+    lo, nq, support, _ = block
     a, p = support[0][1], field.characteristic
     inv = pow(a, -1, p) if p else 0
     row = list(row)
@@ -439,39 +440,64 @@ def _divide(field: FieldSpec, row: list[int], block: Optional[tuple]) -> list[in
     return row[:lo] + row[lo + nq :]
 
 
+def _quotient(field: FieldSpec, section: Section, block: Optional[tuple]) -> tuple[object, list, list]:
+    """(kappa, quotient, rest) of a section s = (row, den) of degree d:
+    kappa s = quotient g + rest, g and the rest as in _divide.  _divide runs
+    on the row widened by a 1, which takes the scale of the row (kappa /
+    den), and by nq zeros, which take the quotient: block row j is widened
+    by -1 in the j-th of them.
+    """
+    row, den = section
+    if block is None:
+        return den, [], row
+    lo, nq, support, _ = block
+    n = len(row) - nq
+    rest = _divide(field, [*row, 1, *[0] * nq], (lo, nq, [*support, (n + nq + 1, -1)], None))
+    return rest[n] * den, rest[n + 1 :], rest[:n]
+
+
 def _relation(
-    real: _Realization, free: dict, bases: dict, w0: int, x0: Section, d: int, e, section: Section
+    field: FieldSpec, free: dict, blocks: dict, trackers: dict, w0: int, d: int, e, section: Section
 ) -> dict[tuple[int, ...], object]:
     """The relation of a dependent candidate e of degree d, once F(d) is
-    complete: e minus its expansion in the standard monomials std(d).
+    complete: e minus its expansion in the standard monomials std(d) =
+    x_0 std(d - w_0) and F(d), solved one x_0 level at a time.
 
-    std(c) is x_0 std(c - w_0) and F(c): its sections are those of F(c)
-    and the products of x_0 (section x0) with those of std(c - w_0), built
-    up the chain c = d mod w_0, ..., d from its highest degree in bases.
-    bases keeps them, a basis of S_d, with their tracker at the degrees of
-    formed relations only, not along the chain (sum_c dim S_c sections).
-    Adding the section (row_e, den_e) of e gives the unique combination
-    sum_t c_t row_t = 0 over std(d) and e, ints over QQ.  The coefficient
-    of t is c_t den_t / (c_e den_e), 1 at e; only these are Fractions.
+    Divided by the block (_quotient), e and each t of F(d) give kappa_t s_t
+    = quotient_t g + rest_t, g over den_g being x_0 times 1.  The rests of
+    F(d) are independent, so the rest of e is one combination of them,
+    sum_t c_t rest_t = 0 over F(d) and e, ints over QQ, read off their
+    tracker, built on first need and kept in trackers by degree; the t of
+    the combination are divided again for their kappa and quotient.  With
+    a_t = c_t kappa_t / (c_e kappa_e) it says sum_t a_t s_t = x_0 Q, Q of
+    degree d - w_0 the section with row den_g sum_t c_t quotient_t and den
+    c_e kappa_e.  Q is solved in F(d - w_0) likewise, Q + sum_f a_f s_f =
+    x_0 Q', and so on down: a loop, as with w_0 = 1 the chain is d deep.
+    The relation is sum_t a_t x^t plus sum_f a_f x_0^i f at depth i; only
+    its coefficients are Fractions.
     """
-    field = real.field
-    if d not in bases:
-        # resume at the chain's highest degree in bases, else below degree 0
-        top = max((c for c in bases if c < d and (d - c) % w0 == 0), default=d % w0 - w0)
-        std = bases[top][0] if top in bases else {}
-        for c in range(top + w0, d + 1, w0):  # a loop, not a recursion: with w_0 = 1 it is d deep
-            level = {(t[0] + 1,) + t[1:]: real.multiply(w0, x0, c - w0, s) for t, s in std.items()}
-            std = {**level, **free.get(c, {})}
-        tracker = TrackingRowBasis(field)
-        for t, (row, _) in std.items():
-            tracker.add(row, t)
-        bases[d] = std, tracker
-    std, tracker = bases[d]
-    combo = tracker.add(section[0], e)
-    if combo is None:
-        raise AssertionError(f"the standard monomials fail to span degree {d}")
-    inv = field.inv(field.mul(combo[e], section[1]))
-    return {t: field.mul(c * (section if t == e else std[t])[1], inv) for t, c in combo.items()}
+    relation: dict[tuple[int, ...], object] = {}
+    power = 0  # of x_0
+    while True:
+        block, tracker = blocks[d], trackers.get(d)
+        if tracker is None:
+            tracker = trackers[d] = TrackingRowBasis(field)
+            for t, s in free[d].items():
+                tracker.add(_divide(field, s[0], block), t)
+        kappa, quotient, rest = _quotient(field, section, block)
+        combo = tracker.add(rest, e)
+        if combo is None:
+            raise AssertionError(f"the standard monomials fail to span degree {d}")
+        den = field.mul(combo[e], kappa)
+        inv, acc = field.inv(den), [0] * (block[1] if block else 0)
+        for t, c in combo.items():
+            k, q, _ = (kappa, quotient, rest) if t == e else _quotient(field, free[d][t], block)
+            if t is not None:
+                relation[(power,) + t[1:]] = field.mul(c * k, inv)
+            acc = [field.add(x, field.mul(c, y)) for x, y in zip(acc, q)]
+        if not any(acc):
+            return relation
+        d, power, e, section = d - w0, power + 1, None, ([block[3] * x for x in acc], den)
 
 
 def _standard_pass(
@@ -510,12 +536,13 @@ def _standard_pass(
         for d in range(w, up_to + 1):
             count[d] += count[d - w]
     keys = real.packed(up_to)[1]  # after count, which refuses a window past memory
-    # by degree: F(d) in word order, each monomial with its section; and,
-    # once a relation of degree d is formed (_relation), the sections of
-    # std(d) with their tracker
+    # by degree: F(d) in word order, each monomial with its section; the
+    # block (None when it is zero); the tracker of the rests of F(d), once
+    # a relation needs it
     free: dict[int, dict] = {0: {(0,) * len(gens): ([1], 1)}}
-    bases: dict[int, tuple[dict, TrackingRowBasis]] = {}
-    x0: dict[int, list] = {}  # the support of x_0 times 1 by defect subset
+    blocks: dict[int, Optional[tuple]] = {0: None}
+    trackers: dict[int, TrackingRowBasis] = {}
+    x0: dict[int, tuple] = {}  # (support, den) of x_0 times 1 by defect subset
     for d in range(1, up_to + 1):
         dim = real.dim(d)
         if not count[d]:
@@ -531,11 +558,12 @@ def _standard_pass(
         if nq:
             mask = keys[d] - keys[w0] - keys[d - w0]
             if mask not in x0:
-                g, _ = real.multiply(w0, gen_sections[0], d - w0, ([1], 1))
-                x0[mask] = [(i, c) for i, c in enumerate(g) if c]
-            block = (x0[mask][0][0], nq, x0[mask])
+                g, den = real.multiply(w0, gen_sections[0], d - w0, ([1], 1))
+                x0[mask] = [(i, c) for i, c in enumerate(g) if c], den
+            support, den = x0[mask]
+            block = (support[0][0], nq, support, den)
         span, level, new = RowBasis(field), {}, []
-        free[d] = level
+        free[d], blocks[d] = level, block
         for k in range(1, len(gens)):
             w = weights[k]
             for s, s_section in free.get(d - w, {}).items():
@@ -549,7 +577,7 @@ def _standard_pass(
                 if span.add(_divide(field, section[0], block)):
                     level[e] = section
                 else:
-                    new.append((e, partial(_relation, real, free, bases, w0, gen_sections[0], d, e, section)))
+                    new.append((e, partial(_relation, field, free, blocks, trackers, w0, d, e, section)))
         if nq + span.rank != dim:
             raise GenerationError(
                 f"generators span only {nq + span.rank} of {dim} dimensions in degree {d}"
@@ -569,9 +597,8 @@ def relation_ideal(
 
     The pass over the standard monomials gives one relation g_e per new
     leading term e: e minus its unique expansion in the standard monomials
-    below it, the relation full elimination finds, solved over the sections
-    of the standard monomials of its degree, with coefficient 1 at e in
-    every field (so a QQ relation reduces mod p to the GF(p) one when
+    below it, the relation full elimination finds, with coefficient 1 at e
+    in every field (so a QQ relation reduces mod p to the GF(p) one when
     the leading terms agree).  The word order is multiplicative within a
     degree, so a relation whose leading term is a multiple of a lower one
     lies in (mI)_d (m the ideal of the generators) plus the g_e below it,

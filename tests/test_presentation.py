@@ -637,10 +637,7 @@ def assert_x0_free_work(field, consumer, monkeypatch):
     where eliminating every standard monomial takes 385, and x_0 times 1 is
     rendered once per defect subset {i : floor(6 a_i) + floor((d-6) a_i) <
     floor(d a_i)} of the degrees with dim S_{d-6} > 0: 2 products where
-    one per degree would be 100.  Only a reader of relations renders more:
-    the x_0 multiples of std(0), std(6), ..., std(54) that the relations of
-    degrees 30 and 60 are solved over, each rendered once for both:
-    sum_{i < 10} dim S_{6i} = 20 products."""
+    one per degree would be 100."""
     gens = minimal_generators(CHORDS, field)
     assert gens[0].degree == 6
     real = _Realization(CHORDS, field)
@@ -684,12 +681,7 @@ def assert_x0_free_work(field, consumer, monkeypatch):
         if below[d]
     }
     assert len(subsets) == 2
-    multiples = 0
-    if consumer is relation_ideal:
-        assert {d for d, _, _ in yielded} == {30, 60}
-        multiples = sum(real.dim(6 * i) for i in range(10))
-        assert multiples == 20
-    assert len(products) == 43 + len(subsets) + multiples
+    assert len(products) == 43 + len(subsets)
 
 
 def rotated_multiply(self, d1, s1, d2, s2):
@@ -846,9 +838,10 @@ class TestRelations:
 
     @pytest.mark.parametrize("field", [QQ, GFBIG])
     def test_tracks_only_the_degrees_a_relation_reaches(self, field, monkeypatch):
-        # a degree's standard sections are tracked once, on its first
-        # relation: dim S_d adds, then one probe per relation
+        # a degree's rests are tracked once, on the first relation or
+        # descent that reaches it: |F(d)| adds, then one probe per visit
         gens = minimal_generators(CHORDS, field)
+        w0 = gens[0].degree
         calls, adds = [], []
         relation, add = presentation._relation, TrackingRowBasis.add
 
@@ -863,13 +856,18 @@ class TestRelations:
         monkeypatch.setattr(presentation, "_relation", recorded_relation)
         monkeypatch.setattr(TrackingRowBasis, "add", recorded_add)
         relation_ideal(CHORDS, field, gens, 120)
-        trackers = {d: tracker for d, (_, tracker) in calls[0][0][2].items()}  # the pass's bases
+        trackers = calls[0][0][3]  # the pass's trackers by degree
         assert {id(t) for t in adds} == {id(t) for t in trackers.values()}
-        formed = collections.Counter(args[5] for args, _ in calls)  # relations by degree
-        assert set(trackers) == set(formed)
+        probes = collections.Counter()
+        for args, rel in calls:
+            depth = max(e[0] for e in rel)  # the descent ends where x_0 does
+            probes.update(args[5] - i * w0 for i in range(depth + 1))
+        assert set(trackers) == set(probes) == set(range(0, 61, w0))
         real = _Realization(CHORDS, field)
         for d, tracker in trackers.items():
-            assert sum(t is tracker for t in adds) == real.dim(d) + formed[d]
+            free = real.dim(d) - (real.dim(d - w0) if d >= w0 else 0)
+            assert sum(t is tracker for t in adds) == free + probes[d]
+        assert len(adds) == 22
 
     @pytest.mark.parametrize("field", [QQ, GF7, GFBIG])
     @pytest.mark.parametrize(
