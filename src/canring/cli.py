@@ -54,6 +54,8 @@ _DEFAULT_POINTS = ["inf", "0", "1", "-1", "2", "-2", "3", "-3", "4", "-4"]
 
 def _load_divisor(args) -> tuple[QDivisor, FieldSpec]:
     if args.divisor:
+        if args.alphas is not None or args.points is not None:
+            raise CanringError("give --divisor FILE or --alphas CSV [--points CSV], not both")
         try:
             with open(args.divisor, "r", encoding="utf-8") as fh:
                 obj = json.load(fh)

@@ -5,8 +5,8 @@ Rows are rows of ints in every field, each entry read with
 characteristic p; in characteristic 0 with the row's content divided out,
 then eliminated fraction-free.  A rational row enters scaled by the lcm
 of its denominators.  ``RowBasis`` owns the one incremental elimination
-loop; ``TrackingRowBasis`` carries each row's combination of the added
-rows in integer columns after it, and runs only where a relation is read.
+loop; ``TrackingRowBasis`` eliminates on a row's first columns and
+carries the rest along, and runs only where a relation is read.
 The one-shot ``rank``, ``row_reduce`` and ``_integer_kernel`` take the
 field, the rows and the column count, which a matrix with no rows still
 needs; ``rank`` clears only below each pivot.  One sparse integer kernel,
@@ -200,10 +200,9 @@ class RowBasis:
 
     Characteristic 0 keeps content-stripped integer rows, row <- (piv * row
     - f * stored) / content; prime characteristic keeps pivot-normalized
-    residue rows, row <- row - f * stored.  A stored row changes only by
-    the zero columns a tracking basis appends.  ``add`` reports whether the
-    vector enlarged the span, which is all the relation pass asks of each
-    candidate.
+    residue rows, row <- row - f * stored.  A stored row never changes.
+    ``add`` reports whether the vector enlarged the span, which is all the
+    relation pass asks of each candidate.
     """
 
     __slots__ = ("field", "_rows")
@@ -247,35 +246,23 @@ class RowBasis:
 
 
 class TrackingRowBasis(RowBasis):
-    """Row basis that keeps how each stored row is built from the added
-    rows; the relation pass tracks only where a relation is read.
+    """Row basis that eliminates on the first ncols columns of each row and
+    carries the later ones along; the relation pass tracks only where a
+    relation is read.
 
-    A vec enters as vec | 0 ... 0 1, a zero column per stored row and a 1
-    in its own tag's column, so the one elimination step carries its
-    combination along; storing a row gives every stored row a zero column.
-    A dependent row's ``add`` returns the tail of its reduced row, the
-    combination {tag: coeff} over the added rows that sums to zero: ints
-    over QQ, residues mod p, nonzero on its own tag (1 mod p) and on stored
-    tags only, and unique up to a nonzero factor, as the stored rows are
-    independent.  An independent row's ``add`` returns None.  Any hashable
-    is a tag, None included.
+    ``add(row, ncols)`` stores a row independent in its first ncols columns
+    and returns None.  A dependent row's ``add`` returns the carried tail of
+    its reduced row: c row + sum_j c_j stored_j, c != 0 (1 mod p), whose
+    first ncols columns vanish.  Carrying unit columns, one per added row,
+    gives the combination over the added rows, unique up to a nonzero
+    factor, as the stored rows are independent.
     """
 
-    __slots__ = ("_tags",)
+    __slots__ = ()
 
-    def __init__(self, field: FieldSpec):
-        super().__init__(field)
-        self._tags: list = []  # the tag of each stored row, by tail column
-
-    def add(self, vec: Sequence, tag) -> Optional[dict]:
-        tags = self._tags
-        rest = self._eliminate([*vec, *[0] * len(tags), 1], len(vec))
-        if rest is None:
-            tags.append(tag)
-            for _, stored in self._rows:
-                stored.append(0)
-            return None
-        return {t: c for t, c in zip([*tags, tag], rest[len(vec) :]) if c}
+    def add(self, row: Sequence, ncols: int) -> Optional[list[int]]:
+        rest = self._eliminate(row, ncols)
+        return None if rest is None else rest[ncols:]
 
 
 class SparseRowBasis:

@@ -27,9 +27,9 @@ the multiples of the first generator x_0 fill a block x_0 S_{d - w_0} of
 known echelon form, which the other candidates are divided by.  Only a
 reader of relations forms them, monic at the leading term, one x_0 level
 at a time: each level solves in the x_0-free standard monomials of its
-degree, re-dividing their sections for the quotients.  A scan
-configuration, like a CLI command (_presentation), runs every stage on one
-realization and one pass.
+degree, each section divided once, carrying its quotient and scale.  A
+scan configuration, like a CLI command (_presentation), runs every stage
+on one realization and one pass.
 """
 
 from __future__ import annotations
@@ -440,20 +440,20 @@ def _divide(field: FieldSpec, row: list[int], block: Optional[tuple]) -> list[in
     return row[:lo] + row[lo + nq :]
 
 
-def _quotient(field: FieldSpec, section: Section, block: Optional[tuple]) -> tuple[object, list, list]:
-    """(kappa, quotient, rest) of a section s = (row, den) of degree d:
-    kappa s = quotient g + rest, g and the rest as in _divide.  _divide runs
-    on the row widened by a 1, which takes the scale of the row (kappa /
-    den), and by nq zeros, which take the quotient: block row j is widened
-    by -1 in the j-th of them.
+def _carried(field: FieldSpec, section: Section, block: Optional[tuple], i: int, m: int) -> list[int]:
+    """The tracked row rest | quotient | kappa at i of a section s = (row,
+    den), m + 1 scale columns wide: kappa s = quotient g + rest, g and the
+    rest as in _divide, which runs once on the row widened by nq zeros for
+    the quotient (block row j is widened by -1 in the j-th) and by the
+    scale columns, den in column i, for kappa.
     """
     row, den = section
+    scale = [0] * (m + 1)
+    scale[i] = den
     if block is None:
-        return den, [], row
+        return row + scale
     lo, nq, support, _ = block
-    n = len(row) - nq
-    rest = _divide(field, [*row, 1, *[0] * nq], (lo, nq, [*support, (n + nq + 1, -1)], None))
-    return rest[n] * den, rest[n + 1 :], rest[:n]
+    return _divide(field, [*row, *[0] * nq, *scale], (lo, nq, [*support, (len(row), -1)], None))
 
 
 def _relation(
@@ -463,41 +463,40 @@ def _relation(
     complete: e minus its expansion in the standard monomials std(d) =
     x_0 std(d - w_0) and F(d), solved one x_0 level at a time.
 
-    Divided by the block (_quotient), e and each t of F(d) give kappa_t s_t
-    = quotient_t g + rest_t, g over den_g being x_0 times 1.  The rests of
-    F(d) are independent, so the rest of e is one combination of them,
-    sum_t c_t rest_t = 0 over F(d) and e, ints over QQ, read off their
-    tracker, built on first need and kept in trackers by degree; the t of
-    the combination are divided again for their kappa and quotient.  With
-    a_t = c_t kappa_t / (c_e kappa_e) it says sum_t a_t s_t = x_0 Q, Q of
-    degree d - w_0 the section with row den_g sum_t c_t quotient_t and den
-    c_e kappa_e.  Q is solved in F(d - w_0) likewise, Q + sum_f a_f s_f =
-    x_0 Q', and so on down: a loop, as with w_0 = 1 the chain is d deep.
-    The relation is sum_t a_t x^t plus sum_f a_f x_0^i f at depth i; only
-    its coefficients are Fractions.
+    The t-th of the m sections of F(d) is tracked as kappa_t s_t =
+    quotient_t g + rest_t, g over den_g being x_0 times 1 (_carried, kappa
+    at column t), in the degree's tracker, built on first need and kept in
+    trackers by degree; the probe, first the section of e, carries its
+    kappa at column m.  The rests of F(d) are independent, so one
+    combination sum_t c_t rest_t = 0 (ints over QQ) reduces the probe, and
+    the tracker returns its tail: q = sum_t c_t quotient_t and the scales
+    s_t = c_t kappa_t.  With a_t = s_t / s_m it says sum_t a_t s_t = x_0 Q,
+    Q of degree d - w_0 the section with row den_g q and den s_m.  Q is the
+    next probe, Q + sum_f a_f s_f = x_0 Q' in F(d - w_0), and so on down: a
+    loop, as with w_0 = 1 the chain is d deep.  The relation is e plus
+    sum_f a_f x_0^i f at depth i; only its coefficients are Fractions.
     """
-    relation: dict[tuple[int, ...], object] = {}
+    relation: dict[tuple[int, ...], object] = {e: field.of(1)}
     power = 0  # of x_0
     while True:
-        block, tracker = blocks[d], trackers.get(d)
+        block, level, tracker = blocks[d], free[d], trackers.get(d)
+        m, nq = len(level), block[1] if block else 0
+        n = len(section[0]) - nq  # the rest's columns
         if tracker is None:
             tracker = trackers[d] = TrackingRowBasis(field)
-            for t, s in free[d].items():
-                tracker.add(_divide(field, s[0], block), t)
-        kappa, quotient, rest = _quotient(field, section, block)
-        combo = tracker.add(rest, e)
-        if combo is None:
+            for i, s in enumerate(level.values()):
+                tracker.add(_carried(field, s, block, i, m), n)
+        tail = tracker.add(_carried(field, section, block, m, m), n)
+        if tail is None:
             raise AssertionError(f"the standard monomials fail to span degree {d}")
-        den = field.mul(combo[e], kappa)
-        inv, acc = field.inv(den), [0] * (block[1] if block else 0)
-        for t, c in combo.items():
-            k, q, _ = (kappa, quotient, rest) if t == e else _quotient(field, free[d][t], block)
-            if t is not None:
-                relation[(power,) + t[1:]] = field.mul(c * k, inv)
-            acc = [field.add(x, field.mul(c, y)) for x, y in zip(acc, q)]
-        if not any(acc):
+        q, scales = tail[:nq], tail[nq:]
+        inv = field.inv(scales[m])
+        for t, c in zip(level, scales):
+            if c:
+                relation[(power,) + t[1:]] = field.mul(c, inv)
+        if not any(q):
             return relation
-        d, power, e, section = d - w0, power + 1, None, ([block[3] * x for x in acc], den)
+        d, power, section = d - w0, power + 1, ([block[3] * x for x in q], scales[m])
 
 
 def _standard_pass(
@@ -537,8 +536,8 @@ def _standard_pass(
             count[d] += count[d - w]
     keys = real.packed(up_to)[1]  # after count, which refuses a window past memory
     # by degree: F(d) in word order, each monomial with its section; the
-    # block (None when it is zero); the tracker of the rests of F(d), once
-    # a relation needs it
+    # block (None when it is zero); the tracker of the rests of F(d), each
+    # carrying its quotient and scale, once a relation needs it
     free: dict[int, dict] = {0: {(0,) * len(gens): ([1], 1)}}
     blocks: dict[int, Optional[tuple]] = {0: None}
     trackers: dict[int, TrackingRowBasis] = {}
@@ -605,9 +604,9 @@ def relation_ideal(
     and is never emitted.  Graded Nakayama runs only in degrees with new
     leading terms, seeded with the shifts x^a g (a != 0) of the minimal
     relations emitted below d, which generate I below d and so span
-    (mI)_d, until its rank reaches dim I_d.  Raises
-    GenerationError if the generators fail the dimension (Hilbert series)
-    check at any degree.
+    (mI)_d, until its rank reaches dim I_d; only where it falls short are
+    the degree's relations formed.  Raises GenerationError if the
+    generators fail the dimension (Hilbert series) check at any degree.
     """
     return _relations(field, gens, _standard_pass(_Realization(D, field), gens, _window(D, up_to, 1)))
 
@@ -617,7 +616,6 @@ def _relations(field: FieldSpec, gens: Sequence[GeneratorRecord], passed: Iterab
     weights = [g.degree for g in gens]
     minimal: list[RelationPoly] = []
     for d, target, new in passed:
-        formed = [relation() for _, relation in new]  # F(d) is complete
         nakayama = SparseRowBasis(field)
         shifts = [
             {tuple([x + y for x, y in zip(e, a)]): c for e, c in g.terms}
@@ -630,7 +628,8 @@ def _relations(field: FieldSpec, gens: Sequence[GeneratorRecord], passed: Iterab
             if nakayama.rank == target:
                 break  # (mI)_d is all of I_d
         else:
-            for vec in formed:
+            for _, relation in new:
+                vec = relation()  # F(d) is complete
                 if nakayama.add(vec):
                     terms = tuple(sorted(vec.items(), key=lambda t: _word(t[0])))
                     minimal.append(RelationPoly(d, terms))

@@ -785,6 +785,17 @@ class TestPlumbing:
             {"c": [0, 0], "d": 1}, {"c": [-1, 1], "d": 2}, {"c": [1, -1], "d": 3}
         ]
 
+    @pytest.mark.parametrize(
+        "flags", [["--alphas", "13/5"], ["--points", "7"], ["--alphas", "13/5", "--points", "7"]]
+    )
+    def test_divisor_file_with_alphas_or_points(self, capsys, tmp_path, flags):
+        # the file's divisor is not silently reported in place of the flags'
+        path = tmp_path / "d.json"
+        path.write_text('{"points": ["inf", "0", "1"], "alphas": ["-1/2", "1/3", "1/5"]}')
+        code, out, err = run(capsys, "gens", "--divisor", str(path), *flags)
+        assert (code, out) == (1, "")
+        assert err == "error: give --divisor FILE or --alphas CSV [--points CSV], not both\n"
+
     def test_missing_divisor_input(self, capsys):
         code, out, err = run(capsys, "gens")
         assert (code, out) == (1, "")

@@ -72,6 +72,20 @@ def _qq_sequences(draw):
     return width, [integer_row(vec) for vec in vecs]
 
 
+class Tagged:
+    """A TrackingRowBasis read through tags: a vector tagged t carries the
+    unit column of t, one column per tag, all reserved up front, so a
+    stored row never changes; a dependent vector's carried tail reads back
+    as its combination {tag: coeff} over the added vectors."""
+
+    def __init__(self, field, tags):
+        self.basis, self.tags = TrackingRowBasis(field), list(tags)
+
+    def add(self, vec, tag):
+        tail = self.basis.add([*vec, *[int(t == tag) for t in self.tags]], len(vec))
+        return None if tail is None else {t: c for t, c in zip(self.tags, tail) if c}
+
+
 def _monic(field, combo, tag):
     """A combination divided by its coefficient on its own tag."""
     inv = field.inv(combo[tag])
@@ -411,7 +425,7 @@ class TestRowBasis:
             with pytest.raises(TypeError):
                 RowBasis(field).add(half)
             with pytest.raises(TypeError):
-                TrackingRowBasis(field).add(half, "a")
+                Tagged(field, ["a"]).add(half, "a")
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -431,12 +445,12 @@ class TestRowBasis:
 class TestTrackingRowBasis:
     @pytest.mark.parametrize("field", [QQ, GF7])
     def test_reports_dependency(self, field):
-        trb = TrackingRowBasis(field)
         rows = {
             "a": [1, 2, 0],
             "b": [0, 1, 1],
             "c": [2, 5, 1],  # = 2a + b
         }
+        trb = Tagged(field, rows)
         assert trb.add(rows["a"], "a") is None
         assert trb.add(rows["b"], "b") is None
         combo = trb.add(rows["c"], "c")
@@ -457,7 +471,7 @@ class TestTrackingRowBasis:
         )
     )
     def test_combinations_vanish(self, rows):
-        trb = TrackingRowBasis(QQ)
+        trb = Tagged(QQ, range(len(rows)))
         for tag, row in enumerate(rows):
             combo = trb.add(row, tag)
             if combo is not None:
@@ -472,7 +486,7 @@ class TestTrackingRowBasis:
         1 on its own tag, supported on earlier kept tags and summing to 0
         mod p is the only one there is."""
         p = m.field.characteristic
-        trb, kept = TrackingRowBasis(m.field), []
+        trb, kept = Tagged(m.field, range(len(m.rows))), []
         for tag, row in enumerate(m.rows):
             combo = trb.add(row, tag)
             if combo is None:
@@ -483,13 +497,13 @@ class TestTrackingRowBasis:
             assert all(0 < c < p for c in combo.values())
             for col in range(m.ncols):
                 assert sum(c * m.rows[t][col] for t, c in combo.items()) % p == 0
-        assert trb.rank == len(kept) == rank(*m)
+        assert trb.basis.rank == len(kept) == rank(*m)
 
     @settings(max_examples=300, deadline=None)
     @given(_qq_sequences())
     def test_matches_fraction_reference(self, case):
         _, vecs = case
-        trb, reference, kept = TrackingRowBasis(QQ), FieldTracker(QQ), []
+        trb, reference, kept = Tagged(QQ, range(len(vecs))), FieldTracker(QQ), []
         for tag, vec in enumerate(vecs):
             combo, expected = trb.add(vec, tag), reference.add(vec, tag)
             if combo is None:
@@ -498,12 +512,43 @@ class TestTrackingRowBasis:
             else:
                 _check_combination(QQ, combo, tag, vecs, kept)
                 assert _monic(QQ, combo, tag) == expected
+        assert trb.basis.rank == len(reference.rows)
+
+    @settings(max_examples=300, deadline=None)
+    @given(m=_matrices(), data=st.data())
+    def test_carries_any_columns(self, m, data):
+        """Carried columns need not be unit columns: a dependent row's tail
+        is the reference combination applied to the carried columns, up to
+        a nonzero factor, which mod p is 1."""
+        field, p = m.field, m.field.characteristic
+        width = data.draw(st.integers(min_value=1, max_value=4))
+        entries = st.integers(0, p - 1) if p else st.integers(-9, 9)
+        carried = [data.draw(st.lists(entries, min_size=width, max_size=width)) for _ in m.rows]
+        trb, reference = TrackingRowBasis(field), FieldTracker(field)
+        for tag, (row, extra) in enumerate(zip(m.rows, carried)):
+            tail, combo = trb.add([*row, *extra], m.ncols), reference.add(row, tag)
+            assert (tail is None) == (combo is None)
+            if combo is None:
+                continue
+            assert len(tail) == width and all(type(x) is int for x in tail)
+            expected = [field.zero] * width
+            for t, c in combo.items():
+                expected = [field.add(x, field.mul(c, field.of(y))) for x, y in zip(expected, carried[t])]
+            tail = [field.of(x) for x in tail]
+            j = next((j for j, x in enumerate(expected) if x), None)
+            if j is None:
+                assert not any(tail)
+                continue
+            factor = field.mul(tail[j], field.inv(expected[j]))
+            assert factor and (factor == 1 or not p)
+            assert tail == [field.mul(factor, x) for x in expected]
         assert trb.rank == len(reference.rows)
 
     def test_zero_vector_and_int_entries(self):
-        # a tracked row is the vector, a 0 for each stored row and a 1 for
-        # its own tag: [1, 2, 0, 1] steps against [2, 4, 1, 0] to [0, 0, -1, 2]
-        trb = TrackingRowBasis(QQ)
+        # a tracked row is the vector and the unit column of its tag among
+        # z, a, b: [1, 2 | 0, 0, 1] steps against [2, 4 | 0, 1, 0] to
+        # [0, 0 | 0, -1, 2]
+        trb = Tagged(QQ, "zab")
         assert trb.add([0, 0], "z") == {"z": 1}
         assert trb.add([2, 4], "a") is None
         combo = trb.add([1, 2], "b")
@@ -511,19 +556,19 @@ class TestTrackingRowBasis:
         assert all(type(c) is int for c in combo.values())
 
     def test_content_stripping_step_is_pinned(self):
-        # QQ: a = [2, 1] is stored as [2, 1 | 1].  b = [4, 4] enters as
-        # [4, 4 | 0, 1]; its step 2 b - 4 a = [0, 4 | -4, 2] has content 2,
-        # so b is stored as [0, 2 | -2, 1]: its tag columns say [0, 2] = b - 2 a.
-        # Every stored row gains a zero column for the next tag.  c = [6, 5]
+        # QQ, with the unit columns of a, b, c reserved: a = [2, 1] is stored
+        # as [2, 1 | 1, 0, 0].  b = [4, 4] enters as [4, 4 | 0, 1, 0]; its
+        # step 2 b - 4 a = [0, 4 | -4, 2, 0] has content 2, so b is stored as
+        # [0, 2 | -2, 1, 0]: its tag columns say [0, 2] = b - 2 a.  c = [6, 5]
         # steps to [0, 2 | -3, 0, 1] against a, content 2, then to
         # [0, 0 | -1, -1, 1] against b.  Mod 7 every stored row is normalized
         # at its pivot.
-        trb = TrackingRowBasis(QQ)
+        trb = Tagged(QQ, "abc")
         assert trb.add([2, 1], "a") is None
         assert trb.add([4, 4], "b") is None
-        assert trb._rows == [(0, [2, 1, 1, 0, 0]), (1, [0, 2, -2, 1, 0])]
+        assert trb.basis._rows == [(0, [2, 1, 1, 0, 0]), (1, [0, 2, -2, 1, 0])]
         assert trb.add([6, 5], "c") == {"c": 1, "a": -1, "b": -1}
-        gfp = TrackingRowBasis(GF7)
+        gfp = Tagged(GF7, "abc")
         assert gfp.add([2, 1], "a") is None and gfp.add([4, 4], "b") is None
         assert gfp.add([6, 5], "c") == {"c": 1, "a": 6, "b": 6}
 
@@ -558,37 +603,38 @@ def _probe_cases(draw):
 
 class TestProbes:
     """The relation pass probes a tracker with a rest that must be
-    dependent, tagged None.  A probe returns its combination and leaves
-    the tracker as it was."""
+    dependent, carrying a column of its own, here the tag None's.  A probe
+    returns its combination and leaves the tracker as it was."""
 
     @settings(max_examples=300, deadline=None)
     @given(_probe_cases())
     def test_probes_leave_the_tracker_unchanged(self, case):
         field, width, steps = case
-        trb, unprobed = TrackingRowBasis(field), TrackingRowBasis(field)
+        tags = [None, *range(len(steps))]
+        trb, unprobed = Tagged(field, tags), Tagged(field, tags)
         reference = FieldTracker(field)
         vecs, kept = {}, []
         for i, (probe, vec) in enumerate(steps):
             tag = None if probe else i
             vecs[tag] = vec
-            before = trb.rank
+            before = trb.basis.rank
             combo, expected = trb.add(vec, tag), reference.add(vec, tag)
             if probe:
                 assert combo is not None and combo[None]
-                assert trb.rank == before
+                assert trb.basis.rank == before
             else:
                 # the same combination as without the probes before it
                 assert combo == unprobed.add(vec, tag)
                 if combo is None:
                     kept.append(tag)
-            assert trb._rows == unprobed._rows
+            assert trb.basis._rows == unprobed.basis._rows
             if combo is None:
                 assert expected is None
             else:
                 _check_combination(field, combo, tag, vecs, kept)
                 assert _monic(field, combo, tag) == expected
         added = [vec for probe, vec in steps if not probe]
-        assert trb.rank == unprobed.rank == len(kept) == rank(field, added, width)
+        assert trb.basis.rank == unprobed.basis.rank == len(kept) == rank(field, added, width)
 
 
 class TestIntegerRows:
@@ -607,7 +653,7 @@ class TestIntegerRows:
         tag_scales = [q if any(row) else 1 for row, q in zip(rows, scales)]
         assert rank(QQ, rows, width) == rank(QQ, scaled, width)
         basis, scaled_basis = RowBasis(QQ), RowBasis(QQ)
-        tracker, scaled_tracker = TrackingRowBasis(QQ), TrackingRowBasis(QQ)
+        tracker, scaled_tracker = Tagged(QQ, range(len(rows))), Tagged(QQ, range(len(rows)))
         for tag, (row, scaled_row) in enumerate(zip(rows, scaled)):
             assert basis.add(row) == scaled_basis.add(scaled_row)
             combo = tracker.add(row, tag)
@@ -617,7 +663,7 @@ class TestIntegerRows:
             else:
                 unscaled = {t: c * tag_scales[t] for t, c in scaled_combo.items()}
                 assert _monic(QQ, combo, tag) == _monic(QQ, unscaled, tag)
-        assert basis.rank == scaled_basis.rank == tracker.rank == scaled_tracker.rank
+        assert basis.rank == scaled_basis.rank == tracker.basis.rank == scaled_tracker.basis.rank
 
 
 class TestSparseRowBasis:

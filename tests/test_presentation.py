@@ -1,6 +1,7 @@
 import collections
 import functools
 import gc
+import hashlib
 import itertools
 import math
 import random
@@ -836,25 +837,64 @@ class TestRelations:
     def test_tracks_standard_monomials_and_leading_terms_only(self, field, monkeypatch):
         assert_x0_free_work(field, relation_ideal, monkeypatch)
 
+    @pytest.mark.parametrize(
+        "field, digest",
+        [
+            (QQ, "66e896221c803b27ce83cebda5c085c0c726748681847d4335858abff2fe2478"),
+            (GFBIG, "579ce3fc50098130ce607246150587253c18866de59d8c41391b4f14f55ac01a"),
+        ],
+        ids=["QQ", "GFBIG"],
+    )
+    def test_forms_relations_only_where_nakayama_needs_them(self, field, digest, monkeypatch):
+        # degrees 9 and 10 each have a new leading term, but the shifts of
+        # the lower relations reach dim I_d there, so neither relation is
+        # formed: 15 reads, one per minimal relation, where forming every
+        # deferred relation took 17; the relations, pinned by the sha256 of
+        # their repr, are those of forming every one
+        D = QDivisor.of([0, 1, 2], [F("3/2"), F("-1/4"), F("2/3")])
+        gens = minimal_generators(D, field)
+        weights = [g.degree for g in gens]
+        leading = groebner_leading_terms(D, field, gens, 12).leading_terms
+        new = sorted(sum(a * w for a, w in zip(e, weights)) for e in leading)
+        formed, relation = [], presentation._relation
+
+        def recorded_relation(*args):
+            formed.append(args[5])  # the degree
+            return relation(*args)
+
+        monkeypatch.setattr(presentation, "_relation", recorded_relation)
+        rels = relation_ideal(D, field, gens, 12)
+        assert new == formed + [9, 10]
+        assert formed == [r.degree for r in rels] == [4] * 5 + [5] * 5 + [6] * 4 + [7]
+        assert hashlib.sha256(repr(rels).encode()).hexdigest() == digest
+
     @pytest.mark.parametrize("field", [QQ, GFBIG])
     def test_tracks_only_the_degrees_a_relation_reaches(self, field, monkeypatch):
         # a degree's rests are tracked once, on the first relation or
-        # descent that reaches it: |F(d)| adds, then one probe per visit
+        # descent that reaches it: |F(d)| adds, then one probe per visit;
+        # each tracked section is divided by its degree's block once
         gens = minimal_generators(CHORDS, field)
         w0 = gens[0].degree
-        calls, adds = [], []
-        relation, add = presentation._relation, TrackingRowBasis.add
+        calls, adds, reading, divides = [], [], [], []
+        relation, add, divide = presentation._relation, TrackingRowBasis.add, presentation._divide
 
         def recorded_relation(*args):
+            reading.append(args)
             calls.append((args, relation(*args)))
+            reading.pop()
             return calls[-1][1]
 
-        def recorded_add(self, vec, tag):
+        def recorded_add(self, *args):
             adds.append(self)
-            return add(self, vec, tag)
+            return add(self, *args)
+
+        def recorded_divide(*args):
+            divides.append(bool(reading))
+            return divide(*args)
 
         monkeypatch.setattr(presentation, "_relation", recorded_relation)
         monkeypatch.setattr(TrackingRowBasis, "add", recorded_add)
+        monkeypatch.setattr(presentation, "_divide", recorded_divide)
         relation_ideal(CHORDS, field, gens, 120)
         trackers = calls[0][0][3]  # the pass's trackers by degree
         assert {id(t) for t in adds} == {id(t) for t in trackers.values()}
@@ -868,6 +908,8 @@ class TestRelations:
             free = real.dim(d) - (real.dim(d - w0) if d >= w0 else 0)
             assert sum(t is tracker for t in adds) == free + probes[d]
         assert len(adds) == 22
+        blocks, degree = calls[0][0][2], {id(t): d for d, t in trackers.items()}
+        assert sum(divides) == sum(blocks[degree[id(t)]] is not None for t in adds) == 19
 
     @pytest.mark.parametrize("field", [QQ, GF7, GFBIG])
     @pytest.mark.parametrize(
