@@ -25,11 +25,11 @@ Relations and Groebner leading terms come from one degreewise pass that
 renders only the x_0-free standard monomials and the new leading terms:
 the multiples of the first generator x_0 fill a block x_0 S_{d - w_0} of
 known echelon form, which the other candidates are divided by.  Only a
-reader of relations forms them, monic at the leading term, one x_0 level
-at a time: each level solves in the x_0-free standard monomials of its
-degree, each section divided once, carrying its quotient and scale.  A
-scan configuration, like a CLI command (_presentation), runs every stage
-on one realization and one pass.
+reader of relations forms them, and only those minimal modulo x_0
+(relation_ideal), monic at the leading term and one x_0 level at a time,
+each level one solve in the x_0-free standard monomials of its degree
+(_relation).  A scan configuration, like a CLI command (_presentation),
+runs every stage on one realization and one pass.
 """
 
 from __future__ import annotations
@@ -503,7 +503,7 @@ def _standard_pass(
     real: _Realization,
     gens: Sequence[GeneratorRecord],
     up_to: int,
-) -> Iterator[tuple[int, int, list[tuple[tuple[int, ...], Callable[[], dict]]]]]:
+) -> Iterator[tuple[int, dict, list[tuple[tuple[int, ...], Callable[[], dict]]]]]:
     """The degreewise pass over the standard monomials (those that are not
     initial terms) of a realization; relations and leading terms read it.
 
@@ -524,9 +524,8 @@ def _standard_pass(
     keeps each section.  A dependent rest gives the unique relation of e
     over the standard monomials below it, with coefficient 1 at e,
     deferred: a call of _relation, valid once F(d) is complete, that only a
-    reader of relations makes.  Yields d, dim I_d = #monomials(d) - dim S_d
-    and the new (leading term, deferred relation) pairs of each degree that
-    has any.
+    reader of relations makes.  Yields d, F(d), complete by then, and the
+    new (leading term, deferred relation) pairs of each degree with any.
     """
     field, weights = real.field, [g.degree for g in gens]
     gen_sections = [real.render_monomial(g.monomial) for g in gens]
@@ -582,7 +581,7 @@ def _standard_pass(
                 f"generators span only {nq + span.rank} of {dim} dimensions in degree {d}"
             )
         if new:
-            yield d, count[d] - dim, new
+            yield d, level, new
 
 
 def relation_ideal(
@@ -591,48 +590,46 @@ def relation_ideal(
     gens: Sequence[GeneratorRecord],
     up_to: Optional[int] = None,
 ) -> list[RelationPoly]:
-    """Minimal generating set of the relation ideal through degree up_to
+    """Minimal generating set of the relation ideal I through degree up_to
     (default: the certified relation-degree bound).
 
     The pass over the standard monomials gives one relation g_e per new
     leading term e: e minus its unique expansion in the standard monomials
-    below it, the relation full elimination finds, with coefficient 1 at e
-    in every field (so a QQ relation reduces mod p to the GF(p) one when
-    the leading terms agree).  The word order is multiplicative within a
-    degree, so a relation whose leading term is a multiple of a lower one
-    lies in (mI)_d (m the ideal of the generators) plus the g_e below it,
-    and is never emitted.  Graded Nakayama runs only in degrees with new
-    leading terms, seeded with the shifts x^a g (a != 0) of the minimal
-    relations emitted below d, which generate I below d and so span
-    (mI)_d, until its rank reaches dim I_d; only where it falls short are
-    the degree's relations formed.  Raises GenerationError if the
-    generators fail the dimension (Hilbert series) check at any degree.
+    below it, with coefficient 1 at e in every field (so a QQ relation
+    reduces mod p to the GF(p) one when the leading terms agree).  The word
+    order is multiplicative, so the relation of a term that a lower leading
+    term divides lies in (mI)_d (m the ideal of the generators) plus the g_e
+    below it; the pass skips such terms.  g_e is emitted unless it lies in
+    (mI)_d plus the span of those emitted before it, tested modulo x_0: x_0
+    is a nonzerodivisor on the domain S_D, so I/mI = Ibar/mbar Ibar, Ibar
+    the kernel of k[x_1, ...] -> S_D / x_0 S_D (change of rings, Eisenbud,
+    Commutative Algebra, ch. 17).  F(d) is a basis of S_d / x_0 S_{d - w_0},
+    so an element of Ibar_d is fixed by its coefficients at the x_0-free
+    monomials outside F(d), where the image of g_e is the unit vector at e.
+    There one SparseRowBasis per degree takes the x_0-free shifts x^a g
+    (a != 0) of the lower minimal relations, which span (mbar Ibar)_d, then
+    the unit of each new leading term in pass order; g_e is formed only
+    when its unit is independent.  Raises GenerationError if the generators
+    fail the dimension (Hilbert series) check at any degree.
     """
     return _relations(field, gens, _standard_pass(_Realization(D, field), gens, _window(D, up_to, 1)))
 
 
 def _relations(field: FieldSpec, gens: Sequence[GeneratorRecord], passed: Iterable) -> list[RelationPoly]:
     """The body of relation_ideal, over the items of a standard pass."""
-    weights = [g.degree for g in gens]
+    weights = [g.degree for g in gens[1:]]  # of the x_0-free shifts
     minimal: list[RelationPoly] = []
-    for d, target, new in passed:
+    for d, level, new in passed:
         nakayama = SparseRowBasis(field)
-        shifts = [
-            {tuple([x + y for x, y in zip(e, a)]): c for e, c in g.terms}
-            for g in minimal
-            for a in _weighted_exponents(weights, d - g.degree)
-        ]
-        shifts.sort(key=min, reverse=True)  # pivots descending: far less fill-in
-        for vec in shifts:
-            nakayama.add(vec)
-            if nakayama.rank == target:
-                break  # (mI)_d is all of I_d
-        else:
-            for _, relation in new:
-                vec = relation()  # F(d) is complete
-                if nakayama.add(vec):
-                    terms = tuple(sorted(vec.items(), key=lambda t: _word(t[0])))
-                    minimal.append(RelationPoly(d, terms))
+        for g in minimal:
+            free = [(e[1:], c) for e, c in g.terms if not e[0]]
+            for a in _weighted_exponents(weights, d - g.degree):
+                shifted = (((0, *[x + y for x, y in zip(e, a)]), c) for e, c in free)
+                nakayama.add({e: c for e, c in shifted if e not in level})
+        for e, relation in new:
+            if nakayama.add({e: 1}):
+                terms = tuple(sorted(relation().items(), key=lambda t: _word(t[0])))
+                minimal.append(RelationPoly(d, terms))
     return minimal
 
 
@@ -692,12 +689,14 @@ def relation_evaluates_to_zero(
     poly: RelationPoly,
 ) -> bool:
     """Substitute the generator sections into a relation polynomial, each
-    term rendered as its summed monomial (_MonomialEvaluator)."""
+    term rendered as its summed monomial (_MonomialEvaluator); CanringError
+    for a term that is no monomial of the relation's degree in them."""
     real = _Realization(D, field)
     ev = _MonomialEvaluator(real, gens)
-    width = real.r(poly.degree) + 1
-    total = [field.zero] * width
+    total = [field.zero] * (real.r(poly.degree) + 1)
     for exps, coeff in poly.terms:
+        if len(exps) != len(gens) or sum(a * g.degree for a, g in zip(exps, gens)) != poly.degree:
+            raise CanringError(f"{exps} is not a monomial of degree {poly.degree} in {len(gens)} generators")
         row, den = ev.section(exps)
         scale = field.mul(coeff, field.inv(den))
         total = [field.add(t, field.mul(scale, v)) for t, v in zip(total, row)]

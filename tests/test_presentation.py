@@ -629,6 +629,12 @@ _CRITERION_09_ALPHAS = st.lists(
     min_size=1,
     max_size=3,
 ).filter(lambda a: sum(a) <= 1)
+# four points with small nonzero coefficients and 0 < deg D <= 1
+_FOUR_POINT_ALPHAS = st.lists(
+    st.builds(Fraction, st.sampled_from([-2, -1, 1, 2]), st.integers(1, 4)),
+    min_size=4,
+    max_size=4,
+).filter(lambda a: 0 < sum(a) <= 1)
 
 
 def assert_x0_free_work(field, consumer, monkeypatch):
@@ -743,6 +749,26 @@ class TestRelations:
         assert wrong != true
         assert not relation_evaluates_to_zero(D235, field, gens, wrong)
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            # an exponent on a fourth generator, which 2,3,5 does not have
+            lambda terms: ((terms[0][0] + (7,), terms[0][1]),) + terms[1:],
+            # a term of degree 2, with coefficient 0 or 1, in a relation of degree 30
+            lambda terms: terms + (((1, 0, 0), F(0)),),
+            lambda terms: terms + (((1, 0, 0), F(1)),),
+        ],
+        ids=["extra-generator", "zero-term-of-another-degree", "term-of-another-degree"],
+    )
+    def test_substitution_refuses_a_term_it_cannot_read(self, edit):
+        # each term is read against the generators and the relation's
+        # degree, not zipped against them, which would drop or cut entries
+        gens = minimal_generators(D235, QQ)
+        (rel,) = relation_ideal(D235, QQ, gens)
+        bad = RelationPoly(rel.degree, edit(rel.terms))
+        with pytest.raises(CanringError, match="is not a monomial of degree 30 in 3 generators"):
+            relation_evaluates_to_zero(D235, QQ, gens, bad)
+
     def test_two_point_relation_degrees_match_closed_form(self):
         rng = random.Random(5)
         for _ in range(6):
@@ -787,13 +813,15 @@ class TestRelations:
         with pytest.raises(GenerationError, match=message):
             consumer(D, QQ, gens)
 
-    @settings(max_examples=60, deadline=None)
-    @given(alphas=_CRITERION_09_ALPHAS, field=st.sampled_from([QQ, GF7, GFBIG]))
+    @settings(max_examples=90, deadline=None)
+    @given(alphas=_CRITERION_09_ALPHAS | _FOUR_POINT_ALPHAS, field=st.sampled_from([QQ, GF7, GFBIG]))
     def test_matches_full_elimination(self, alphas, field):
-        # the criterion-09 oracle ranges and windows
+        # the criterion-09 oracle ranges and windows, and four points to
+        # degree 10, where the dense reference takes at most about 0.2 s;
+        # generators through the window
         D = QDivisor.of(range(len(alphas)), alphas)
-        window = criterion_09_window(D)
-        gens = minimal_generators(D, field, up_to=window)
+        window = criterion_09_window(D) if D.n < 4 else min(degree_bounds(D)[1], 10)
+        gens = minimal_generators(D, field, up_to=window + 1)
         rels = relation_ideal(D, field, gens, window)
         assert rels == reference_relations(D, field, gens, window)
         for rel in rels:
@@ -846,11 +874,11 @@ class TestRelations:
         ids=["QQ", "GFBIG"],
     )
     def test_forms_relations_only_where_nakayama_needs_them(self, field, digest, monkeypatch):
-        # degrees 9 and 10 each have a new leading term, but the shifts of
-        # the lower relations reach dim I_d there, so neither relation is
-        # formed: 15 reads, one per minimal relation, where forming every
-        # deferred relation took 17; the relations, pinned by the sha256 of
-        # their repr, are those of forming every one
+        # degrees 9 and 10 each have a new leading term, but modulo x_0 its
+        # unit vector lies in the span of the shifts of the lower relations,
+        # so neither relation is formed: 15 reads, one per minimal relation,
+        # where forming every deferred relation took 17; the relations,
+        # pinned by the sha256 of their repr, are those of forming every one
         D = QDivisor.of([0, 1, 2], [F("3/2"), F("-1/4"), F("2/3")])
         gens = minimal_generators(D, field)
         weights = [g.degree for g in gens]
@@ -867,6 +895,43 @@ class TestRelations:
         assert new == formed + [9, 10]
         assert formed == [r.degree for r in rels] == [4] * 5 + [5] * 5 + [6] * 4 + [7]
         assert hashlib.sha256(repr(rels).encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "field, digest",
+        [
+            (QQ, "0dcb731b99c0dfce3821f7ab9d135967a0bcf802019eeb5301ac285c8f111084"),
+            (GFBIG, "7c40221c3dba8a4d759ead694f2441399d485fc53a7cbb2dd96054c238da1261"),
+        ],
+        ids=["QQ", "GFBIG"],
+    )
+    def test_minimality_modulo_x0_on_many_generators(self, field, digest, monkeypatch):
+        # 13 generators, w_0 = 1, to truncation 11: the minimality test runs
+        # in the x_0-free monomials outside F(d), one vector per x_0-free
+        # shift x^a g of a lower minimal relation and one unit vector per new
+        # leading term, 54 398 adds, where shifting by every a, x_0 included,
+        # until the rank reached dim I_d made 109 581 with the same relations
+        # (pinned by the sha256 of their repr)
+        D = QDivisor.of(["inf", 0, 1, -1], [F(4), F("3/2"), F("2/5"), F("-1/6")])
+        gens = minimal_generators(D, field)
+        assert (len(gens), gens[0].degree) == (13, 1)
+        levels, added = [], []
+        standard_pass, add = presentation._standard_pass, SparseRowBasis.add
+
+        def recorded_pass(*args):
+            for item in standard_pass(*args):
+                levels.append(item[1])  # F(d), complete when yielded
+                yield item
+
+        def recorded_add(self, vec):
+            added.append(all(not e[0] and e not in levels[-1] for e in vec))
+            return add(self, vec)
+
+        monkeypatch.setattr(presentation, "_standard_pass", recorded_pass)
+        monkeypatch.setattr(SparseRowBasis, "add", recorded_add)
+        rels = relation_ideal(D, field, gens, 11)
+        assert len(rels) == 66
+        assert hashlib.sha256(repr(rels).encode()).hexdigest() == digest
+        assert len(added) == 54398 and all(added)
 
     @pytest.mark.parametrize("field", [QQ, GFBIG])
     def test_tracks_only_the_degrees_a_relation_reaches(self, field, monkeypatch):
