@@ -8,6 +8,7 @@ from .divisor import (
     denominator_data,
     floor_divisor,
     graded_dim,
+    parameter_certificate,
     semigroup_count_bound,
 )
 from .errors import (

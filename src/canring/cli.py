@@ -162,7 +162,7 @@ def cmd_gens(args) -> Outcome:
 
 def cmd_rels(args) -> Outcome:
     D, field = _load_divisor(args)
-    gens, passed, _ = _presentation(D, field, args.max_degree, args.truncation)
+    gens, passed, _ = _presentation(D, field, args.max_degree, args.truncation, relations=True)
     rels = _relations(field, gens, passed)
     report = {
         "command": "rels",
@@ -249,7 +249,7 @@ def cmd_oracle(args) -> Outcome:
     # the oracle first: its size guard refuses before any engine work
     oracle = brute_force_oracle(D, field, window)
     # generators through the window, as the oracle picks them
-    gens, passed, _ = _presentation(D, field, min(window + 1, _window(D, None, 0)), window)
+    gens, passed, _ = _presentation(D, field, None, window, relations=True, ceiling=window + 1)
     engine = (
         sorted(g.degree for g in gens),
         sorted(r.degree for r in _relations(field, gens, passed)),

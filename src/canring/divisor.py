@@ -154,6 +154,70 @@ def degree_bounds(D: QDivisor) -> tuple[int, int]:
     return gen_bound, rel_bound
 
 
+_CERTIFICATE_CAP = 1 << 16  # the largest |degree| and split count a certificate searches
+
+
+def parameter_certificate(D: QDivisor) -> Optional[tuple[int, int, int, int]]:
+    """(a, e_1, e_2, s) of a system of parameters of two monomials, from
+    the coefficients alone; None when deg D <= 0 or a search passes its cap.
+
+    For deg D > 0, S_D is a normal graded domain of dimension 2 (Demazure,
+    "Anneaux gradues normaux", 1988), so it is Cohen-Macaulay, with
+    a-invariant a = max{d : r(d) <= -2}, r(d) = sum_i floor(d alpha_i) for
+    every integer d, as H^2_m(S_D)_d = H^1(P^1, O(floor(dD))) (Watanabe,
+    Nagoya Math. J. 83, 1981).  The monomial u^e prod t_i^{c_i} vanishes,
+    on the stacky curve, exactly at the points i with c_i + e alpha_i > 0.
+    Split the padded points into nonempty T and S: for e_1 the least
+    multiple of lcm(q_j : j in T) with r(e_1) >= 0, some monomial y_1 of
+    degree e_1 has c_j = -e_1 alpha_j on T, so no zero there, and y_2 of
+    degree e_2 likewise on S.  With no common zero, y_1
+    and y_2 are a regular sequence in every field and configuration, S_D
+    is free over k[y_1, y_2], and S_D / (y_1, y_2) has top degree s = a +
+    e_1 + e_2 (Bruns-Herzog, Cohen-Macaulay Rings, ch. 3 and 4).  So every
+    minimal generator has degree at most G = max(s, e_1, e_2), and the
+    relations in any generating monomials of weights w are generated in
+    degrees at most B = s + max w: they are spanned by x_j M_l minus its
+    expansion over k[y_1, y_2] in the M_l, monomials whose images are a
+    basis of S_D / (y_1, y_2) (Sturmfels, Algorithms in Invariant Theory,
+    ch. 2).  The split taken has the least e_1 + e_2, the first such in
+    the order of T's bitmask.
+
+    As floor(x) >= x - (q - 1)/q on (1/q)Z, r(d) >= d deg D - sum_i (1 -
+    1/q_i), which exceeds -2 above the degree where the scan for a starts;
+    e_1 is memoized by its lcm.
+    """
+    pq = [(a.numerator, a.denominator) for a in padded(D).alphas]
+    ell, cap = math.lcm(*[q for _, q in pq]), _CERTIFICATE_CAP
+    num = sum([p * (ell // q) for p, q in pq])  # deg D = num / ell
+    if num <= 0 or len(pq) > 17:  # past 2^16 splits
+        return None
+
+    def r(d: int) -> int:
+        return sum([d * p // q for p, q in pq])
+
+    a = (sum([(q - 1) * (ell // q) for _, q in pq]) - 2 * ell) // num
+    while -cap <= a <= cap and r(a) > -2:
+        a -= 1
+    if not -cap <= a <= cap:
+        return None
+    lcms = [1]  # lcm(q_j : j in T) by the bitmask of T
+    for _, q in pq:
+        lcms += [math.lcm(L, q) for L in lcms]
+    least: dict[int, int] = {}  # e by lcm
+    for L in lcms[1:-1]:
+        if L not in least:
+            e = L
+            while e <= cap and r(e) < 0:
+                e += L
+            if e > cap:
+                return None
+            least[L] = e
+    es = [least[L] for L in lcms[1:-1]]  # by T; the complement of T is read reversed
+    sums = [x + y for x, y in zip(es, reversed(es))]
+    T = sums.index(min(sums))
+    return a, es[T], es[-1 - T], a + sums[T]
+
+
 def semigroup_count_bound(D: QDivisor) -> int:
     """Upper bound n - 1 + ell_1 ... ell_n (deg D)^(n-1) on the number of
     semigroup generators (rays plus fundamental-cube points)."""

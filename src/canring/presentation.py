@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -50,6 +51,7 @@ from .divisor import (
     floor_divisor,
     graded_dim,
     padded,
+    parameter_certificate,
 )
 from .errors import (
     CanringError,
@@ -295,15 +297,38 @@ def _pregen_subsets(real: _Realization, d: int) -> Optional[set[int]]:
     return None if cover.bit_count() <= rs[d] + 1 and not common else minimal
 
 
-def _window(D: QDivisor, given: Optional[int], stage: int) -> int:
+Certificate = Optional[tuple[int, int, int, int]]  # (a, e_1, e_2, s), see parameter_certificate
+
+
+def _window(D: QDivisor, given: Optional[int], stage: int, certificate: Certificate = None) -> int:
     """The given window, else the default of the stage (0: generators, 1:
-    relations), which reads only the coefficients: the certified bound;
-    past ell in degree 0, where S_D = k[s] with s of degree ell."""
+    relations), which reads only the coefficients: the paper's bound
+    (degree_bounds), and for generators at most G + 1, G = max(s, e_1, e_2)
+    of the certificate when one is given; past ell in degree 0, where S_D =
+    k[s] with s of degree ell."""
     if given is not None:
         return given
     if D.degree > 0:
-        return degree_bounds(D)[stage]
+        bound = degree_bounds(D)[stage]
+        return min(bound, max(certificate[1:]) + 1) if certificate and not stage else bound
     return denominator_data(padded(D)).ell + 1 if D.degree == 0 else 1
+
+
+def _stop(certificate: Certificate, gens: Sequence[GeneratorRecord], truncation: int) -> int:
+    """Where a pass that serves relations only ends: min(truncation, max(B,
+    G)), B = s + max w over the weights w of the generators, as no minimal
+    relation lies above B nor generator above G (parameter_certificate);
+    the truncation when there is no certificate or no generator.  Past
+    max(B, G) the pass runs no spanning check (GenerationError): a
+    generator left out of gens has degree <= G, where the check still runs.
+    A truncation past the longest list, which no full pass can index, is
+    refused as the full pass refuses it (MemoryError)."""
+    if truncation > sys.maxsize // 8:
+        raise MemoryError(f"a pass to degree {truncation}")
+    if certificate is None or not gens:
+        return truncation
+    _, e1, e2, s = certificate
+    return min(truncation, max(s + max(g.degree for g in gens), e1, e2))
 
 
 def minimal_generators(
@@ -312,7 +337,8 @@ def minimal_generators(
     up_to: Optional[int] = None,
 ) -> list[GeneratorRecord]:
     """Minimal generators with degrees < up_to (default: the generator
-    window of _window).
+    window of _window, at most G + 1 by the certificate of
+    parameter_certificate, computed once for the call).
 
     Degree by degree, the pregenerated subspace sum_c S_c S_{d-c} is
     realized through the floor-sum identity S_c S_{d-c} =
@@ -337,7 +363,8 @@ def minimal_generators(
     if D.degree < 0:
         return []
     real = _Realization(D, field)
-    return _generators(real, _pending(real, _window(D, up_to, 0)))
+    certificate = parameter_certificate(D) if up_to is None else None
+    return _generators(real, _pending(real, _window(D, up_to, 0, certificate)))
 
 
 def _pending(real: _Realization, up_to: int) -> list[tuple[int, int, set[int], list[GradedMonomial]]]:
@@ -591,7 +618,9 @@ def relation_ideal(
     up_to: Optional[int] = None,
 ) -> list[RelationPoly]:
     """Minimal generating set of the relation ideal I through degree up_to
-    (default: the certified relation-degree bound).
+    (default: the paper's relation-degree bound).  The pass ends at
+    min(up_to, max(B, G)) (_stop), as no minimal relation lies above B = s
+    + max w (parameter_certificate, computed once for the call).
 
     The pass over the standard monomials gives one relation g_e per new
     leading term e: e minus its unique expansion in the standard monomials
@@ -610,9 +639,11 @@ def relation_ideal(
     (a != 0) of the lower minimal relations, which span (mbar Ibar)_d, then
     the unit of each new leading term in pass order; g_e is formed only
     when its unit is independent.  Raises GenerationError if the generators
-    fail the dimension (Hilbert series) check at any degree.
+    fail the dimension (Hilbert series) check at any degree the pass
+    reaches: a generator left out has degree <= G, which it reaches.
     """
-    return _relations(field, gens, _standard_pass(_Realization(D, field), gens, _window(D, up_to, 1)))
+    stop = _stop(parameter_certificate(D), gens, _window(D, up_to, 1))
+    return _relations(field, gens, _standard_pass(_Realization(D, field), gens, stop))
 
 
 def _relations(field: FieldSpec, gens: Sequence[GeneratorRecord], passed: Iterable) -> list[RelationPoly]:
@@ -620,10 +651,12 @@ def _relations(field: FieldSpec, gens: Sequence[GeneratorRecord], passed: Iterab
     weights = [g.degree for g in gens[1:]]  # of the x_0-free shifts
     minimal: list[RelationPoly] = []
     for d, level, new in passed:
-        nakayama = SparseRowBasis(field)
+        nakayama, exponents = SparseRowBasis(field), {}  # the shift exponents by their degree
         for g in minimal:
-            free = [(e[1:], c) for e, c in g.terms if not e[0]]
-            for a in _weighted_exponents(weights, d - g.degree):
+            free, k = [(e[1:], c) for e, c in g.terms if not e[0]], d - g.degree
+            if k not in exponents:
+                exponents[k] = _weighted_exponents(weights, k)
+            for a in exponents[k]:
                 shifted = (((0, *[x + y for x, y in zip(e, a)]), c) for e, c in free)
                 nakayama.add({e: c for e, c in shifted if e not in level})
         for e, relation in new:
@@ -662,16 +695,27 @@ def _groebner(passed: Iterable, truncation: int) -> GroebnerReport:
 
 
 def _presentation(
-    D: QDivisor, field: FieldSpec, up_to: Optional[int], truncation: Optional[int]
+    D: QDivisor,
+    field: FieldSpec,
+    up_to: Optional[int],
+    truncation: Optional[int],
+    relations: bool = False,
+    ceiling: Optional[int] = None,
 ) -> tuple[list[GeneratorRecord], list, int]:
     """The generators with degrees < up_to, the items of one standard pass
     through the truncation, and the truncation, each window defaulting as in
-    _window: every stage on one realization, which _relations and _groebner
-    read.  In negative degree there is no generator and no generator window."""
+    _window, the generator window at most the ceiling: every stage on
+    one realization, which _relations and _groebner read.  A pass that
+    serves relations only ends at _stop.  The certificate is computed once,
+    where a default generator window or the stop reads it.  In negative
+    degree there is no generator and no generator window."""
+    certificate = parameter_certificate(D) if up_to is None or relations else None
     real = _Realization(D, field)
-    gens = _generators(real, _pending(real, _window(D, up_to, 0))) if D.degree >= 0 else []
+    window = min(_window(D, up_to, 0, certificate), ceiling or math.inf)
+    gens = _generators(real, _pending(real, window)) if D.degree >= 0 else []
     truncation = _window(D, truncation, 1)
-    return gens, list(_standard_pass(real, gens, truncation)), truncation
+    stop = _stop(certificate, gens, truncation) if relations else truncation
+    return gens, list(_standard_pass(real, gens, stop)), truncation
 
 
 def xgen_threshold(D: QDivisor) -> int:
@@ -755,10 +799,14 @@ def stability_scan(
     and one list of the degrees to eliminate (_pending), built by the first
     realization; each configuration then only renders and eliminates those
     degrees, and runs all its stages on one realization and one standard
-    pass.
+    pass; the certificate (parameter_certificate) is computed once, where a
+    default generator window or a pass that serves relations only (_stop)
+    reads it.
     """
     coefficients = QDivisor.of(range(len(alphas)), alphas)
-    window, truncation = _window(coefficients, up_to, 0), _window(coefficients, truncation, 1)
+    stops = with_relations and not with_groebner
+    certificate = parameter_certificate(coefficients) if up_to is None or stops else None
+    window, truncation = _window(coefficients, up_to, 0, certificate), _window(coefficients, truncation, 1)
     # S_d = 0 for all d >= 1 in negative degree; else S_ell != 0 ends any() by d = ell
     if coefficients.degree < 0 or not any(graded_dim(coefficients, d) for d in range(1, window)):
         raise CanringError(
@@ -781,7 +829,8 @@ def stability_scan(
             pending = _pending(real, window) if pending is None else pending
             gens = _generators(real, pending)
             entry["generators"] = [g.to_json() for g in gens]
-            passed = list(_standard_pass(real, gens, truncation)) if with_groebner or with_relations else []
+            stop = _stop(certificate, gens, truncation) if stops else truncation
+            passed = list(_standard_pass(real, gens, stop)) if with_groebner or with_relations else []
             if with_groebner:
                 leading = _groebner(passed, truncation).leading_terms
                 entry["groebner"] = {"truncation": truncation, "leading_terms": [list(e) for e in leading]}

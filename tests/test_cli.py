@@ -666,6 +666,35 @@ class TestByteIdentity:
             "b465d50672384801e9e845d96dc4ce9422d00d248c0eca3ea39096a29f609d5f"
         )
 
+    @pytest.mark.parametrize(
+        "argv, digests",
+        [
+            (
+                _CHORDS_ARGS[:3],
+                (
+                    "58b84e338526296d5e1b66bdaf6785d9908c2283d30ce299f868812d992a808f",
+                    "31cb58cd047de1596f5e7322246623a43647261dba1270cfeb4154f04f858feb",
+                ),
+            ),
+            (
+                ("--alphas=-1/2,1/3,1/5", "--points", "inf,0,1"),
+                (
+                    "683439e398e37e28cb1a3856d1a34432f5f8f4f39809affd69dc24824205acdb",
+                    "4e75a575476046cfcd4baaf20c577d6c36dc82388a4f126bb8d4553315b95718",
+                ),
+            ),
+        ],
+        ids=["chords", "2,3,5"],
+    )
+    def test_default_window_rels_reports_are_pinned(self, capsys, argv, digests):
+        # the sha256 of `rels --json` at the default windows in QQ and
+        # GF(2^61 - 1), taken where the pass ran to the paper's relation
+        # bound (360 and 62): it now ends at max(B, G) (75 and 30)
+        for char, digest in zip(("0", str(2**61 - 1)), digests):
+            code, out, err = run(capsys, "rels", *argv, "--char", char, "--json")
+            assert (code, err) == (0, "")
+            assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
     def test_relations_are_pinned(self):
         # the sha256 of every relation's terms with their exact
         # coefficients, where the reports pin only degrees and support

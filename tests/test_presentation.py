@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import math
 import random
+import timeit
 from fractions import Fraction
 from unittest import mock
 
@@ -22,6 +23,7 @@ from canring.divisor import (
     floor_divisor,
     graded_dim,
     padded,
+    parameter_certificate,
 )
 from canring.errors import (
     CanringError,
@@ -637,21 +639,22 @@ _FOUR_POINT_ALPHAS = st.lists(
 ).filter(lambda a: 0 < sum(a) <= 1)
 
 
-def assert_x0_free_work(field, consumer, monkeypatch):
+def assert_x0_free_work(field, consumer, top, work, monkeypatch):
     """The multiples of x_0 (degree 6) on the chords divisor are derived:
-    each degree renders and eliminates its dim S_d - dim S_{d-6} x_0-free
-    standard monomials and new leading terms, 43 of them to degree 120
-    where eliminating every standard monomial takes 385, and x_0 times 1 is
-    rendered once per defect subset {i : floor(6 a_i) + floor((d-6) a_i) <
-    floor(d a_i)} of the degrees with dim S_{d-6} > 0: 2 products where
-    one per degree would be 100."""
+    each degree through top, the last the consumer's pass reaches when
+    asked for 120, renders and eliminates its dim S_d - dim S_{d-6} x_0-free
+    standard monomials and new leading terms, work of them (43 to degree
+    120, where eliminating every standard monomial takes 385), and x_0
+    times 1 is rendered once per defect subset {i : floor(6 a_i) + floor((d-6)
+    a_i) < floor(d a_i)} of the degrees with dim S_{d-6} > 0: 2 products
+    where one per degree would be 100."""
     gens = minimal_generators(CHORDS, field)
     assert gens[0].degree == 6
     real = _Realization(CHORDS, field)
-    below = [real.dim(d - 6) if d >= 6 else 0 for d in range(121)]
-    free = sum(real.dim(d) - below[d] for d in range(1, 121))
-    leading = groebner_leading_terms(CHORDS, field, gens, up_to=120).leading_terms
-    assert free + len(leading) == 43 and not any(e[0] for e in leading)
+    below = [real.dim(d - 6) if d >= 6 else 0 for d in range(top + 1)]
+    free = sum(real.dim(d) - below[d] for d in range(1, top + 1))
+    leading = groebner_leading_terms(CHORDS, field, gens, up_to=top).leading_terms
+    assert free + len(leading) == work and not any(e[0] for e in leading)
     candidates, products, yielded = [], [], []
     add, multiply, standard_pass = RowBasis.add, _Realization.multiply, presentation._standard_pass
 
@@ -672,7 +675,7 @@ def assert_x0_free_work(field, consumer, monkeypatch):
     monkeypatch.setattr(_Realization, "multiply", counted_multiply)
     monkeypatch.setattr(presentation, "_standard_pass", recorded_pass)
     consumer(CHORDS, field, gens, up_to=120)
-    assert len(candidates) == 43
+    assert len(candidates) == work
     # the candidates are the independent F(d) entries, which each deferred
     # relation holds (by the end of the pass all of them), and the new
     # leading terms: none contains x_0
@@ -680,15 +683,15 @@ def assert_x0_free_work(field, consumer, monkeypatch):
     free = new[0][1].args[1]
     assert all(relation.args[1] is free for _, relation in new)
     eliminated = [e for d, level in free.items() if d for e in level] + [e for e, _ in new]
-    assert len(eliminated) == 43 and not any(e[0] for e in eliminated)
-    floors = [floor_divisor(CHORDS, d) for d in range(121)]
+    assert len(eliminated) == work and not any(e[0] for e in eliminated)
+    floors = [floor_divisor(CHORDS, d) for d in range(top + 1)]
     subsets = {
         tuple(i for i, (a, b, c) in enumerate(zip(floors[6], floors[d - 6], floors[d])) if a + b < c)
-        for d in range(6, 121)
+        for d in range(6, top + 1)
         if below[d]
     }
     assert len(subsets) == 2
-    assert len(products) == 43 + len(subsets)
+    assert len(products) == work + len(subsets)
 
 
 def rotated_multiply(self, d1, s1, d2, s2):
@@ -863,7 +866,8 @@ class TestRelations:
 
     @pytest.mark.parametrize("field", [QQ, GFBIG])
     def test_tracks_standard_monomials_and_leading_terms_only(self, field, monkeypatch):
-        assert_x0_free_work(field, relation_ideal, monkeypatch)
+        # the pass ends at B = s + max w = 45 + 30 = 75 (parameter_certificate)
+        assert_x0_free_work(field, relation_ideal, 75, 25, monkeypatch)
 
     @pytest.mark.parametrize(
         "field, digest",
@@ -1107,7 +1111,7 @@ class TestGroebner:
 
     @pytest.mark.parametrize("field", [QQ, GFBIG])
     def test_renders_standard_monomials_and_leading_terms_only(self, field, monkeypatch):
-        assert_x0_free_work(field, groebner_leading_terms, monkeypatch)
+        assert_x0_free_work(field, groebner_leading_terms, 120, 43, monkeypatch)
 
     @pytest.mark.parametrize(
         "D, field, window, leading",
@@ -1159,6 +1163,118 @@ class TestDefaultWindows:
     def test_degree_zero_window_reaches_ell(self):
         with pytest.raises(GenerationError, match="reach degree 6 but dim S_6 = 1"):
             relation_ideal(FLAT, QQ, [])
+
+
+def _parameters(real, e1, e2):
+    """Monomials y_1, y_2 of degrees e_1, e_2 with no common zero, for some
+    split T | S of the points: c_j = -e alpha_j on its side, so no zero
+    there, and all of deg floor(eD) at the last point of the other."""
+    P, full = real.divisor, (1 << real.divisor.n) - 1
+    for T in range(1, full):
+        ys = []
+        for e, side in ((e1, T), (e2, full ^ T)):
+            b = floor_divisor(P, e)
+            if sum(b) < 0 or any(side >> j & 1 and e * a != b[j] for j, a in enumerate(P.alphas)):
+                break
+            g = [0] * P.n
+            g[(full ^ side).bit_length() - 1] = sum(b)
+            ys.append(GradedMonomial(e, tuple(x - y for x, y in zip(g, b))))
+        else:
+            return ys
+    raise AssertionError(f"no split fits degrees {e1} and {e2}")
+
+
+def _quotient_dim(real, ys, d):
+    """dim (S_D / (y_1, y_2))_d: dim S_d less the rank of the products of
+    the y with the monomial basis, each rendered as one monomial of degree d
+    and ranked by plain field arithmetic (FieldTracker)."""
+    tracker = FieldTracker(real.field)
+    products = [
+        GradedMonomial(d, tuple(a + b for a, b in zip(y.c, m.c)))
+        for y in ys
+        if d >= y.d
+        for m in monomial_basis(real.divisor, d - y.d)
+    ]
+    rank = sum(tracker.add(real.render_monomial(m)[0], i) is None for i, m in enumerate(products))
+    return real.dim(d) - rank
+
+
+class TestCertifiedWindows:
+    """parameter_certificate gives (a, e_1, e_2, s) from the coefficients:
+    no minimal generator lies above G = max(s, e_1, e_2), and no minimal
+    relation above B = s + max w."""
+
+    @pytest.mark.parametrize(
+        "D, pinned",
+        [
+            (CHORDS, (29, 6, 10, 45, 45, 75)),
+            (QDivisor.of(["inf", 0, 1, -1], [F(4), F("3/2"), F("2/5"), F("-1/6")]), (-1, 5, 6, 10, 10, 16)),
+            (QDivisor.of(["inf", 0, 1, -1], [F("-2/3"), F("1/2"), F("3/5"), F("1/4")]), (-1, 5, 12, 16, 16, 21)),
+            (D235, (-1, 6, 10, 15, 15, 30)),
+            (QDivisor.of([F("1/3")], [F("402/401")]), (-1, 401, 1, 401, 401, 802)),
+        ],
+        ids=["chords", "13-generators", "four-point", "2,3,5", "402/401"],
+    )
+    def test_pinned(self, D, pinned):
+        certificate = parameter_certificate(D)
+        a, e1, e2, s = certificate
+        if D.n == 1:  # the closed form: the engine's generator stage takes seconds at 402/401
+            weights = [v.d for v in two_point_presentation(D.alphas[0], 0).generators]
+        else:
+            weights = [g.degree for g in minimal_generators(D, GFBIG)]
+        G, B = max(s, e1, e2), s + max(weights)
+        assert (a, e1, e2, s, G, B) == pinned
+        assert presentation._window(D, None, 0, certificate) == min(degree_bounds(D)[0], G + 1)
+
+    def test_cap_falls_back_to_the_paper_bounds(self):
+        # e_1 would be 2^55, past the cap: None at once, and the windows
+        # are the paper's bounds
+        D = QDivisor.of(["inf", 0], [F("1/36028797018963968"), F("1/3")])
+        assert parameter_certificate(D) is None
+        took = min(timeit.repeat(lambda: parameter_certificate(D), number=1, repeat=5))
+        assert took < 1e-3
+        assert presentation._window(D, None, 0, None) == degree_bounds(D)[0]
+        gens = minimal_generators(D235, QQ)
+        assert presentation._stop(None, gens, 10**6) == 10**6
+        assert presentation._stop(parameter_certificate(D235), gens, 10**6) == 30
+
+    @pytest.mark.parametrize(
+        "D",
+        [FLAT, NEGATIVE, QDivisor.of(["inf"], [F("-7/3")])],
+        ids=["degree-0", "negative", "negative-one-point"],
+    )
+    def test_no_certificate_off_positive_degree(self, D):
+        assert parameter_certificate(D) is None
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.one_of(
+            _CRITERION_09_ALPHAS.map(lambda a: (tuple(range(len(a))), a)),
+            _FOUR_POINT_ALPHAS.map(lambda a: (("inf", 0, 1, -1), a)),
+        ),
+        st.sampled_from([QQ, GF7, GFBIG]),
+    )
+    def test_windows_against_the_paper_bounds(self, draw, field):
+        # generators and relations at the paper's windows lie within G and
+        # B, and y_1, y_2 are a regular sequence: S_D / (y_1, y_2) is
+        # nonzero in degree s and zero on (s, s + max w]
+        D = QDivisor.of(*draw)
+        if D.degree <= 0:
+            reject()
+        try:
+            real = _Realization(D, field)
+        except PointCollisionError:
+            reject()
+        a, e1, e2, s = parameter_certificate(D)
+        gen_bound, rel_bound = degree_bounds(D)
+        gens = presentation._generators(real, presentation._pending(real, gen_bound))
+        rels = presentation._relations(field, gens, presentation._standard_pass(real, gens, rel_bound))
+        top = max(g.degree for g in gens)
+        assert top <= max(s, e1, e2)
+        assert all(r.degree <= s + top for r in rels)
+        ys = _parameters(real, e1, e2)
+        dims = [_quotient_dim(real, ys, d) for d in range(s, s + top + 1)]
+        assert dims[0] > 0 and not any(dims[1:])
 
 
 class TestThreshold:
@@ -1493,9 +1609,13 @@ class TestSharedFloorTable:
         """The n = 4 draw alphas 1/4, 1/5, -1/2, 1/6 of criterion 08 on 100
         configurations, 37 of them evaluated, with both reports to degree 34:
         one realization per configuration and one standard pass per evaluated
-        one, where building each stage its own took 174 and 74; floor_divisor
-        grows the table to ell = 60 and then renders the generators of each
-        evaluated configuration, 320 calls where it made 3169."""
+        one, where building each stage its own took 174 and 74.  floor_divisor
+        grows the table through the generator window, to G = 25 (certificate
+        (3, 10, 12, 25)), renders the generators of the first evaluated
+        configuration, grows the table on to the truncation in its pass, and
+        renders the generators of each other one: 294 calls, where the
+        paper's window 122 grew the table to ell = 60 for 320, and one table
+        per stage made 3169."""
         alphas = [F("1/4"), F("1/5"), F("-1/2"), F("1/6")]
         configs = generic_configs(4, 20, [0, 2, 3, 5, 7], 88)
         calls = collections.Counter()
@@ -1518,7 +1638,9 @@ class TestSharedFloorTable:
         assert (calls["realization"], calls["_standard_pass"]) == (100, 37)
         assert calls["_relation"] > 0
         generator_degrees = [g["degree"] for run in runs for g in run["generators"]]
-        assert degrees == list(range(61)) + generator_degrees and len(degrees) == 320
+        first = len(runs[0]["generators"])
+        assert degrees == [*range(26), *generator_degrees[:first], *range(26, 35), *generator_degrees[first:]]
+        assert len(degrees) == 294
         # the Groebner report forces no deferred relation
         calls.clear()
         groebner = stability_scan(alphas, configs, with_groebner=True, truncation=34)
